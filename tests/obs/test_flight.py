@@ -1,5 +1,6 @@
 """Flight recorder: ring bounds, epoch digests, journaling, black box."""
 
+import hashlib
 import json
 
 import pytest
@@ -382,44 +383,50 @@ def test_use_flight_scopes_and_restores():
     assert obs.get_flight() is NOOP_FLIGHT
 
 
-# -- PR 10: journal byte-compatibility across schedulers -------------------
+# -- journal byte-compatibility with the binary heap ----------------------
+#
+# The calendar queue replaced a binary heap; the journals below were
+# captured on that heap (where both queues were proven to journal them
+# identically).  The recorder receives unpacked (time, priority, eid)
+# parts via dispatch_parts(), so a match means the queue dispatches in
+# the heap's order.
+
+
+def _journal_fingerprint(workload):
+    recorder = FlightRecorder(ring=1 << 16, epoch_events=256)
+    with use_flight(recorder):
+        run_isolated(workload, 31)
+    recorder.finish()
+    journal = "\n".join(canonical(record) for record in recorder.ring)
+    return {
+        "journal": hashlib.sha256(journal.encode()).hexdigest(),
+        "epochs": len(recorder.epoch_digests),
+        "last_epoch": recorder.epoch_digests[-1],
+        "recorded": recorder.recorded,
+    }
 
 
 def test_journal_identical_between_heap_and_calendar():
-    """Satellite guarantee of the calendar-queue PR: the dispatch
-    journal — every (time, priority, eid) record AND the chained epoch
-    digests — is byte-identical whichever queue drives the run.  The
-    recorder receives unpacked parts via dispatch_parts(), so this
-    holds by construction unless a scheduler reorders dispatches."""
-    from repro.sim.environment import use_scheduler
-
-    journals = {}
-    for scheduler in ("heap", "calendar"):
-        recorder = FlightRecorder(ring=1 << 16, epoch_events=256)
-        with use_scheduler(scheduler), use_flight(recorder):
-            run_isolated("locks-hard", 31)
-        recorder.finish()
-        journals[scheduler] = (
-            [canonical(record) for record in recorder.ring],
-            recorder.epoch_digests,
-            recorder.recorded,
-        )
-    assert journals["calendar"] == journals["heap"]
+    """Every (time, priority, eid) record AND the chained epoch digests
+    of a lock workload match the heap's journal."""
+    assert _journal_fingerprint("locks-hard") == {
+        "journal": "bdf45fe5c82621e7d99a4c32a467f1686c14519a"
+                   "80d6401a33361db522dfeed7",
+        "epochs": 1,
+        "last_epoch": "da9fdf4d549a0a00ce876953a596d35c29d6bf41"
+                      "89277f5a2df826201d426ef2",
+        "recorded": 426,
+    }
 
 
 def test_journal_identical_across_schedulers_under_network_storm():
     """Same guarantee on a packet workload: burst-carry elides events
     *virtually*, so the eids that do reach the journal line up."""
-    from repro.sim.environment import use_scheduler
-
-    journals = {}
-    for scheduler in ("heap", "calendar"):
-        recorder = FlightRecorder(ring=1 << 16, epoch_events=256)
-        with use_scheduler(scheduler), use_flight(recorder):
-            run_isolated("flaky-links", 31)
-        recorder.finish()
-        journals[scheduler] = (
-            [canonical(record) for record in recorder.ring],
-            recorder.epoch_digests,
-        )
-    assert journals["calendar"] == journals["heap"]
+    assert _journal_fingerprint("flaky-links") == {
+        "journal": "3ebf7edae25cda63d7bf0df54ba23c556d84293c"
+                   "9baf93563a9856ceccc67ec3",
+        "epochs": 18,
+        "last_epoch": "5a737440ac3158490cf13b809fa9f964b0877e96"
+                      "c25fc3e1d99ded52d88d5b77",
+        "recorded": 5323,
+    }

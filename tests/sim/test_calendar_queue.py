@@ -1,23 +1,19 @@
-"""The calendar queue must be indistinguishable from the binary heap.
+"""The calendar queue dispatches in exact ``(time, priority, eid)`` order.
 
-The ladder/calendar queue (PR 10) replaces the packed heap behind the
-same :class:`Environment` API.  These tests pin the contract down:
-identical ``(time, priority, eid)`` dispatch order on adversarial
-schedules, identical counters, and correct re-anchoring under skewed
-delay distributions — with the heap kept alive as the reference.
+The ladder/calendar queue replaced a packed binary heap behind the same
+:class:`Environment` API, and replay digests depend on it keeping that
+heap's order.  These tests pin the contract down: dispatch order on
+adversarial schedules equals the order ``sorted()`` gives by ``(time,
+priority, insertion index)`` — computed inside each test — plus exact
+counters and correct re-anchoring under skewed delay distributions.
 """
 
 import random
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import Environment, Event
-from repro.sim.environment import (
-    dispatch_parts,
-    set_default_scheduler,
-    use_scheduler,
-)
+from repro.sim.environment import dispatch_parts
 from repro.sim.events import NORMAL, URGENT
 
 
@@ -42,6 +38,15 @@ def _schedule_tagged(env, entries):
     return fired
 
 
+def _reference_order(entries):
+    """The (time, tag) log a correct queue produces for ``entries``
+    scheduled at time 0: by time, then priority, then insertion order —
+    the order the packed binary heap this queue replaced embodied."""
+    ranked = sorted((delay, priority, index, tag)
+                    for index, (delay, priority, tag) in enumerate(entries))
+    return [(time, tag) for time, _, _, tag in ranked]
+
+
 @pytest.mark.parametrize("seed", [0, 7, 31])
 def test_dispatch_order_matches_heap_on_random_schedules(seed):
     rng = random.Random(seed)
@@ -52,14 +57,11 @@ def test_dispatch_order_matches_heap_on_random_schedules(seed):
         priority = rng.choice([URGENT, NORMAL, NORMAL, NORMAL])
         entries.append((delay, priority, tag))
 
-    logs = {}
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        fired = _schedule_tagged(env, entries)
-        env.run_all()
-        logs[scheduler] = fired
-        assert env.events_processed == len(entries)
-    assert logs["calendar"] == logs["heap"]
+    env = Environment()
+    fired = _schedule_tagged(env, entries)
+    env.run_all()
+    assert env.events_processed == len(entries)
+    assert fired == _reference_order(entries)
 
 
 def test_same_instant_fifo_with_urgent_first():
@@ -83,13 +85,10 @@ def test_zipf_skewed_delays_reanchor_correctly(seed):
         delay = 0.001 / (1.0 - rng.random()) ** 1.5
         entries.append((min(delay, 1e6), NORMAL, tag))
 
-    logs = {}
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        fired = _schedule_tagged(env, entries)
-        env.run_all(limit=float("inf"))
-        logs[scheduler] = fired
-    assert logs["calendar"] == logs["heap"]
+    env = Environment()
+    fired = _schedule_tagged(env, entries)
+    env.run_all(limit=float("inf"))
+    assert fired == _reference_order(entries)
 
 
 def test_dense_same_time_burst_is_served_in_order():
@@ -123,18 +122,17 @@ def test_interleaved_push_during_drain_lands_in_run():
 
 
 def test_peek_step_run_all_agree_with_heap():
+    """peek() always names the event step() is about to dispatch."""
     entries = [(d, NORMAL, i)
                for i, d in enumerate([3.0, 1.0, 2.0, 1.0, 0.0])]
-    times = {}
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        _schedule_tagged(env, entries)
-        peeked = []
-        while env.peek() != float("inf"):
-            peeked.append(env.peek())
-            env.step()
-        times[scheduler] = peeked
-    assert times["calendar"] == times["heap"] == [0.0, 1.0, 1.0, 2.0, 3.0]
+    env = Environment()
+    fired = _schedule_tagged(env, entries)
+    peeked = []
+    while env.peek() != float("inf"):
+        peeked.append(env.peek())
+        env.step()
+    assert peeked == [0.0, 1.0, 1.0, 2.0, 3.0]
+    assert fired == _reference_order(entries)
 
 
 def test_bootstrap_and_drained_queue_reset():
@@ -167,33 +165,22 @@ def test_dispatch_parts_roundtrip():
     assert dispatch_parts((NORMAL << _PRIORITY_SHIFT) | 42) == (NORMAL, 42)
 
 
-def test_scheduler_selection_and_default():
-    assert Environment().scheduler == "calendar"
-    assert Environment(scheduler="heap").scheduler == "heap"
-    with use_scheduler("heap"):
-        assert Environment().scheduler == "heap"
-    assert Environment().scheduler == "calendar"
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay")
-    with pytest.raises(SimulationError):
-        set_default_scheduler("splay")
-
-
 def test_counters_identical_across_schedulers():
-    def drive(scheduler):
-        with use_scheduler(scheduler):
-            env = Environment()
+    """Five workers ticking every 10 ms, cut at 0.15 s.  Processed: 5
+    Initialize events, 14 ticks per worker and the until event.  Each
+    worker's 15th tick is due at exactly 0.15 but loses to the until
+    event (priority 0), so 5 stay queued out of 81 scheduled."""
+    env = Environment()
 
-            def worker(env):
-                for _ in range(20):
-                    yield env.timeout(0.01)
+    def worker(env):
+        for _ in range(20):
+            yield env.timeout(0.01)
 
-            for _ in range(5):
-                env.process(worker(env))
-            env.run(until=0.15)
-            return env.stats()
-
-    assert drive("calendar") == drive("heap")
+    for _ in range(5):
+        env.process(worker(env))
+    env.run(until=0.15)
+    assert env.stats() == {"now": 0.15, "events_scheduled": 81,
+                           "events_processed": 76, "queue_depth": 5}
 
 
 def test_far_future_and_huge_times_do_not_break_order():
@@ -205,3 +192,31 @@ def test_far_future_and_huge_times_do_not_break_order():
               (1e305, NORMAL, "farther")])
     env.run_all(limit=float("inf"))
     assert [tag for _, tag in fired] == ["near", "far", "farther"]
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_timeout_accepts_infinite_and_overflowing_delays(anchored):
+    """timeout() queues what schedule() queues.  An infinite delay on a
+    fresh queue makes the bucket index ``inf * 0.0``; on a queue
+    anchored by a step at a fine width, an infinite or near-ceiling time
+    overflows ``int()``.  Either way the event parks in the overflow,
+    peek() reports it, and finite events still drain in order."""
+    env = Environment()
+    if anchored:
+        env.timeout(0.001)
+        env.timeout(0.002)
+        env.step()
+        assert env.now == 0.001
+    forever = env.timeout(float("inf"))
+    huge = env.timeout(1.7e308)
+    order = []
+    for delay in (0.5, 0.25, 0.75):
+        env.timeout(delay).callbacks.append(
+            lambda _e, delay=delay: order.append(delay))
+    env.run_all()
+    assert order == [0.25, 0.5, 0.75]
+    assert env.peek() == 1.7e308
+    env.step()
+    assert huge.processed and not forever.processed
+    assert env.peek() == float("inf")
+    assert env.stats()["queue_depth"] == 1
