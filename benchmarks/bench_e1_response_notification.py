@@ -16,10 +16,16 @@ Four editors on a WAN make edits with think times.  Three mechanisms:
 Expected shape: OT response ≈ 0 and stays flat as contention rises;
 locking and reservation response grow with contention; all three deliver
 every edit eventually.
+
+``test_e1_traced_dump`` reruns the experiment under a recording tracer
+and writes ``e1.trace.jsonl`` at the repo root for the report CLI.
 """
 
+import json
+import os
+
 from benchmarks._util import print_table, record_run, run_once
-from repro import CooperativePlatform
+from repro import CooperativePlatform, obs
 from repro.concurrency import (
     EXCLUSIVE,
     LockTable,
@@ -27,6 +33,11 @@ from repro.concurrency import (
     SharedStore,
 )
 from repro.sim import Environment, RandomStreams, Tally, exponential
+
+#: Where the traced run's JSONL dump lands.
+TRACE_DUMP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "e1.trace.jsonl")
 
 EDITORS = 4
 EDITS_PER_EDITOR = 15
@@ -167,3 +178,16 @@ def test_e1_response_notification(benchmark):
         "resv_response_mean": resv_response.mean,
         "edits": ot_response.count,
     })
+
+
+def test_e1_traced_dump():
+    with obs.use_tracer(obs.Tracer()) as tracer, \
+            obs.use_metrics(obs.MetricsRegistry()) as metrics:
+        run_experiment()
+    lines = obs.dump_jsonl(TRACE_DUMP, tracer=tracer, metrics=metrics)
+    assert lines > 0, "traced benchmark produced an empty dump"
+    with open(TRACE_DUMP) as handle:
+        records = [json.loads(line) for line in handle]
+    assert len(records) == lines
+    spans = [r for r in records if r["kind"] == "span"]
+    assert spans, "no spans recorded during the benchmark"

@@ -44,7 +44,8 @@ OBSERVABLE = ("sim_time_s", "events", "sent", "delivered", "dropped")
 
 
 def _storm(registry, resolution: Optional[float] = None) -> Dict[str, Any]:
-    env = Environment()
+    with use_metrics(registry):
+        env = Environment()
     network = Network(env, lan(env, hosts=HOSTS))
     names = ["host{}".format(i) for i in range(HOSTS)]
     senders = []
@@ -55,8 +56,7 @@ def _storm(registry, resolution: Optional[float] = None) -> Dict[str, Any]:
     if resolution is not None:
         recorder = TimelineRecorder(env, registry=registry,
                                     resolution=resolution)
-    with use_metrics(registry):
-        result = _run_storm(env, network, senders, SEED)
+    result = _run_storm(env, network, senders, SEED)
     if recorder is not None:
         recorder.finish()
         result["windows"] = recorder.flushed

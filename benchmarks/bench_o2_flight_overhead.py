@@ -41,20 +41,20 @@ OBSERVABLE = ("sim_time_s", "events", "sent", "delivered", "dropped")
 
 
 def _build_and_run() -> Dict[str, Any]:
-    env = Environment()
+    with use_metrics(NullRegistry()):
+        env = Environment()
     network = Network(env, lan(env, hosts=HOSTS))
     names = ["host{}".format(i) for i in range(HOSTS)]
     senders = []
     for index, name in enumerate(names):
         peers = [names[(index + k) % HOSTS] for k in range(1, HOSTS)]
         senders.append((network.host(name), peers, PACKETS_EACH))
-    with use_metrics(NullRegistry()):
-        return _run_storm(env, network, senders, SEED)
+    return _run_storm(env, network, senders, SEED)
 
 
 def _storm(recorder: Optional[FlightRecorder] = None) -> Dict[str, Any]:
-    # The recorder must be ambient before Environment() is constructed:
-    # environments bind the flight hook at creation, like the tracer.
+    # The recorder must be installed before Environment() is constructed:
+    # environments bind their instruments at creation (env.ctx).
     if recorder is not None:
         with use_flight(recorder):
             result = _build_and_run()

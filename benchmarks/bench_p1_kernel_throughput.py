@@ -102,8 +102,7 @@ def run_lan_storm(hosts: int = 24, packets_each: int = 150,
     for index, name in enumerate(names):
         peers = [names[(index + k) % hosts] for k in range(1, hosts)]
         senders.append((network.host(name), peers, packets_each))
-    with use_metrics(MetricsRegistry()):
-        return _run_storm(env, network, senders, seed)
+    return _run_storm(env, network, senders, seed)
 
 
 def _wan_network(env: Environment, sites: int, hosts_per_site: int,
@@ -136,8 +135,7 @@ def run_wan_storm(sites: int = 6, hosts_per_site: int = 3,
     network = _wan_network(env, sites, hosts_per_site)
     senders = _cross_site_senders(network, sites, hosts_per_site,
                                   packets_each)
-    with use_metrics(MetricsRegistry()):
-        return _run_storm(env, network, senders, seed)
+    return _run_storm(env, network, senders, seed)
 
 
 def run_chaos_storm(sites: int = 6, hosts_per_site: int = 3,
@@ -165,8 +163,7 @@ def run_chaos_storm(sites: int = 6, hosts_per_site: int = 3,
     FaultInjector(env, network, schedule)
     senders = _cross_site_senders(network, sites, hosts_per_site,
                                   packets_each)
-    with use_metrics(MetricsRegistry()):
-        return _run_storm(env, network, senders, seed)
+    return _run_storm(env, network, senders, seed)
 
 
 def run_metrics_comparison(sites: int = 6, hosts_per_site: int = 3,
@@ -176,12 +173,12 @@ def run_metrics_comparison(sites: int = 6, hosts_per_site: int = 3,
     from repro.obs.metrics import NullRegistry
 
     def once(registry):
-        env = Environment()
+        with use_metrics(registry):
+            env = Environment()
         network = _wan_network(env, sites, hosts_per_site)
         senders = _cross_site_senders(network, sites, hosts_per_site,
                                       packets_each)
-        with use_metrics(registry):
-            return _run_storm(env, network, senders, seed)
+        return _run_storm(env, network, senders, seed)
 
     # Interleaved repeats: each round runs both registries back to back,
     # so slow moments on the host machine hit both sides equally instead

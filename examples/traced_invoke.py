@@ -1,6 +1,6 @@
 """Traced invocation: follow one RPC from nucleus to nucleus.
 
-Enables the causal tracer, runs a client at one WAN site invoking an
+Builds the run inside a tracer scope, runs a client at one WAN site invoking an
 object hosted at another (with simulated think-time between calls), then
 exports the trace three ways:
 
@@ -46,10 +46,10 @@ def main(argv=None) -> int:
                         help="Chrome trace_event path")
     options = parser.parse_args(argv)
 
-    tracer = obs.enable_tracing()
-    obs.set_metrics(obs.MetricsRegistry())   # fresh registry for this run
-
-    env = Environment()
+    # Instruments bind when the environment is built: the run reports
+    # to this tracer and to the environment's own fresh registry.
+    with obs.use_tracer(obs.Tracer()) as tracer:
+        env = Environment()
     runtime, client, counter = build(env)
     rng = RandomStreams(11).stream("think")
 
@@ -67,14 +67,14 @@ def main(argv=None) -> int:
 
     proc = env.process(user(env))
     env.run(proc)
-    obs.disable_tracing()
 
     print("final counter value:", proc.value)
     print("sim time: {:.4f}s, spans recorded: {}".format(
         env.now, len(tracer.spans)))
     print("event loop:", env.stats())
 
-    lines = obs.dump_jsonl(options.out, tracer=tracer)
+    lines = obs.dump_jsonl(options.out, tracer=tracer,
+                           metrics=env.ctx.metrics)
     events = obs.dump_chrome_trace(options.chrome, tracer=tracer)
     print("wrote {} JSONL lines to {}".format(lines, options.out))
     print("wrote {} trace events to {} (open in about:tracing)".format(

@@ -53,12 +53,6 @@ from repro.analysis.hb import (
     NoopSanitizer,
     READ,
     WRITE,
-    disable_sanitizer,
-    enable_sanitizer,
-    extract_clock,
-    get_sanitizer,
-    inject_clock,
-    set_sanitizer,
     use_sanitizer,
 )
 #: Lazily resolved attribute -> home module (dodges the import cycle
@@ -110,11 +104,6 @@ __all__ = [
     "WORKLOADS",
     "WRITE",
     "conflict_sweep",
-    "disable_sanitizer",
-    "enable_sanitizer",
-    "extract_clock",
-    "get_sanitizer",
-    "inject_clock",
     "lint_file",
     "lint_paths",
     "replay",
@@ -122,7 +111,6 @@ __all__ = [
     "run_isolated",
     "run_passes",
     "run_workload",
-    "set_sanitizer",
     "to_sarif",
     "trace_digest",
     "use_sanitizer",

@@ -11,15 +11,15 @@ shared object.  Two accesses to the same object, at least one a write,
 whose clocks are concurrent were ordered by *nothing*: they are exactly
 the conflicts left for the humans.
 
-Like the tracer and the metrics registry, the process default is a
-no-op so instrumentation sites cost almost nothing::
+Like the tracer, an environment built outside every sanitizer scope
+binds a no-op, so instrumentation sites cost almost nothing.  Build the
+run inside :func:`use_sanitizer` to record::
 
     from repro import analysis
 
-    sanitizer = analysis.enable_sanitizer()
-    ... run a workload ...
+    with analysis.use_sanitizer(analysis.ConflictSanitizer()) as sanitizer:
+        ... build and run a workload ...
     print(sanitizer.summary())
-    analysis.disable_sanitizer()
 
 Hooks live in :mod:`repro.concurrency.locks` (grant hand-off edges),
 :mod:`repro.concurrency.store` (accesses), :mod:`repro.sessions.floor`
@@ -29,26 +29,12 @@ propagation in RPC headers).
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
 
-from repro.obs.metrics import get_metrics
+from repro.sim.context import current, scope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.groups.clocks import VectorClock
-
-#: Resolved lazily: importing :mod:`repro.groups` here would close an
-#: import cycle (locks -> hb -> groups -> group -> transport -> hb), so
-#: the class is fetched on first sanitizer use instead.
-_vector_clock_class = None
-
-
-def _clock_class():
-    global _vector_clock_class
-    if _vector_clock_class is None:
-        from repro.groups.clocks import VectorClock as cls
-        _vector_clock_class = cls
-    return _vector_clock_class
 
 #: Access kinds.
 READ = "read"
@@ -130,6 +116,9 @@ class ConflictSanitizer:
     enabled = True
 
     def __init__(self) -> None:
+        #: Receives ``analysis.conflicts``: the registry installed where
+        #: the sanitizer is built (it has no environment of its own).
+        self.metrics = current().metrics
         self._clocks: Dict[str, VectorClock] = {}
         self._scopes: Dict[str, VectorClock] = {}
         self._last_write: Dict[str, Access] = {}
@@ -142,7 +131,12 @@ class ConflictSanitizer:
     def clock(self, actor: str) -> "VectorClock":
         """The actor's current clock (empty if never seen)."""
         existing = self._clocks.get(actor)
-        return existing if existing is not None else _clock_class()()
+        if existing is not None:
+            return existing
+        # Imported here: repro.groups imports the transports, which
+        # import this module.
+        from repro.groups.clocks import VectorClock
+        return VectorClock()
 
     def _tick(self, actor: str) -> VectorClock:
         advanced = self.clock(actor).increment(actor)
@@ -162,9 +156,22 @@ class ConflictSanitizer:
     def receive(self, actor: str, clock: Optional[Dict[str, int]]) -> None:
         """Merge a received clock snapshot (causal-delivery edge)."""
         if clock:
-            merged = self.clock(actor).merge(_clock_class()(clock))
+            from repro.groups.clocks import VectorClock
+            merged = self.clock(actor).merge(VectorClock(clock))
             self._clocks[actor] = merged
         self._tick(actor)
+
+    def inject_clock(self, headers: Dict[str, Any],
+                     actor: str) -> Dict[str, Any]:
+        """Attach ``actor``'s clock snapshot to message ``headers``."""
+        headers[HB_HEADER] = self.send(actor)
+        return headers
+
+    def extract_clock(self, headers: Dict[str, Any], actor: str) -> None:
+        """Merge a clock snapshot out of received ``headers`` (if any)."""
+        clock = headers.get(HB_HEADER)
+        if clock is not None:
+            self.receive(actor, clock)
 
     def acquire(self, scope: str, actor: str) -> None:
         """Order ``actor`` after every previous release of ``scope``.
@@ -215,7 +222,7 @@ class ConflictSanitizer:
 
     def _report(self, kind: str, first: Access, second: Access) -> None:
         self.conflicts.append(Conflict(first.obj, kind, first, second))
-        get_metrics().counter(
+        self.metrics.counter(
             "analysis.conflicts", kind=kind, object=first.obj).add()
 
     # -- reporting ---------------------------------------------------------
@@ -258,7 +265,8 @@ class NoopSanitizer:
     conflicts: List[Conflict] = []
 
     def clock(self, actor: str) -> "VectorClock":
-        return _clock_class()()
+        from repro.groups.clocks import VectorClock
+        return VectorClock()
 
     def local(self, actor: str) -> None:
         pass
@@ -267,6 +275,15 @@ class NoopSanitizer:
         return None
 
     def receive(self, actor: str, clock: Any) -> None:
+        pass
+
+    def inject_clock(self, headers: Dict[str, Any],
+                     actor: str) -> Dict[str, Any]:
+        """Headers untouched, so packets are byte-identical in normal
+        runs."""
+        return headers
+
+    def extract_clock(self, headers: Dict[str, Any], actor: str) -> None:
         pass
 
     def acquire(self, scope: str, actor: str) -> None:
@@ -296,65 +313,11 @@ class NoopSanitizer:
         return "<NoopSanitizer>"
 
 
-#: The shared disabled sanitizer (the process default).
+#: The shared disabled sanitizer (the default of every run context).
 NOOP_SANITIZER = NoopSanitizer()
 
-_sanitizer: Union[ConflictSanitizer, NoopSanitizer] = NOOP_SANITIZER
 
-
-def get_sanitizer() -> Union[ConflictSanitizer, NoopSanitizer]:
-    """The process-wide sanitizer consulted by instrumentation sites."""
-    return _sanitizer
-
-
-def set_sanitizer(sanitizer: Optional[Union[ConflictSanitizer,
-                                            NoopSanitizer]]
-                  ) -> Union[ConflictSanitizer, NoopSanitizer]:
-    """Install ``sanitizer`` (``None`` disables); returns the previous."""
-    global _sanitizer
-    previous = _sanitizer
-    _sanitizer = sanitizer if sanitizer is not None else NOOP_SANITIZER
-    return previous
-
-
-def enable_sanitizer() -> ConflictSanitizer:
-    """Install and return a fresh recording sanitizer."""
-    sanitizer = ConflictSanitizer()
-    set_sanitizer(sanitizer)
-    return sanitizer
-
-
-def disable_sanitizer() -> None:
-    """Restore the zero-cost no-op default."""
-    set_sanitizer(NOOP_SANITIZER)
-
-
-@contextlib.contextmanager
 def use_sanitizer(sanitizer: Union[ConflictSanitizer, NoopSanitizer]):
-    """Scope ``sanitizer`` as the process default, restoring on exit."""
-    previous = set_sanitizer(sanitizer)
-    try:
-        yield sanitizer
-    finally:
-        set_sanitizer(previous)
-
-
-def inject_clock(headers: Dict[str, Any], actor: str) -> Dict[str, Any]:
-    """Attach ``actor``'s clock snapshot to message ``headers``.
-
-    A no-op (headers returned untouched) when the sanitizer is disabled,
-    so packet contents are byte-identical in normal runs.
-    """
-    sanitizer = get_sanitizer()
-    if sanitizer.enabled:
-        headers[HB_HEADER] = sanitizer.send(actor)
-    return headers
-
-
-def extract_clock(headers: Dict[str, Any], actor: str) -> None:
-    """Merge a clock snapshot out of received ``headers`` (if any)."""
-    sanitizer = get_sanitizer()
-    if sanitizer.enabled:
-        clock = headers.get(HB_HEADER)
-        if clock is not None:
-            sanitizer.receive(actor, clock)
+    """Scope ``sanitizer``: environments built inside the ``with`` bind it
+    as ``env.ctx.sanitizer`` (see :mod:`repro.sim.context`)."""
+    return scope("sanitizer", sanitizer)

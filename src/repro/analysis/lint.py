@@ -13,7 +13,8 @@ RPR002    RNG constructed or used outside :mod:`repro.sim.rng`
 RPR003    iteration over an unordered ``set`` without ``sorted(...)``
 RPR004    ``id()``-based ordering, comparison or hashing
 RPR005    module-level mutable state (``itertools.count``, dict/list
-          literals bound to non-constant names)
+          literals bound to non-constant names, and ambient singletons:
+          module-level names a function rebinds through ``global``)
 RPR006    float ``==`` / ``!=`` on simulated time (``env.now``)
 ========  ==============================================================
 
@@ -388,6 +389,15 @@ def check_module_state(tree: ast.Module, path: str
             yield statement, ("module-level mutable {} shared by every "
                               "experiment in the process".format(
                                   "literal" if name == "" else name))
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                yield node, ("{}() rebinds module-level {} through global: "
+                             "an ambient singleton shared by every "
+                             "experiment in the process".format(
+                                 function.name, ", ".join(node.names)))
 
 
 @rule("RPR006", "float equality on simulated time",

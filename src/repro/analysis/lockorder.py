@@ -82,7 +82,7 @@ def _lock_identity(node: ast.Call) -> Optional[str]:
         return None
     dotted = call_name(node)
     if not dotted:
-        return None  # computed receiver (e.g. get_sanitizer().acquire)
+        return None  # computed receiver (e.g. tables()[key].acquire)
     base_parts = dotted.split(".")[:-1]
     while base_parts and base_parts[0] in ("self", "cls"):
         base_parts = base_parts[1:]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict
 
-from repro.analysis.hb import get_sanitizer
 from repro.concurrency.locks import (
     EXCLUSIVE,
     LockTable,
@@ -90,7 +89,7 @@ def lock_style_workload(style: str, seed: int = 31) -> Dict[str, Any]:
         env.process(reader(env, name), name=name)
     env.run()
 
-    sanitizer = get_sanitizer()
+    sanitizer = env.ctx.sanitizer
     return {
         "workload": "locks-" + style,
         "seed": seed,

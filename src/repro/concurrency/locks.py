@@ -23,19 +23,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.analysis.hb import get_sanitizer
 from repro.errors import LockError
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 from repro.sim import Counter, Environment, Event
 
 
 def _flight_of(env: Environment):
     """The environment's flight recorder when lock journaling is on."""
-    flight = env._flight
-    if flight is not None and flight.journal_locks:
-        return flight
-    return None
+    flight = env.ctx.flight
+    return flight if flight.journal_locks else None
 
 SHARED = "shared"
 EXCLUSIVE = "exclusive"
@@ -162,7 +157,7 @@ class LockTable:
         held.remove(grant)
         # Hand-off edge: whoever acquires this key next is causally
         # ordered after everything the releasing holder did.
-        get_sanitizer().release("lock:" + grant.key, grant.owner)
+        self.env.ctx.sanitizer.release("lock:" + grant.key, grant.owner)
         flight = _flight_of(self.env)
         if flight is not None:
             flight.record_lock("release", grant.key, grant.owner,
@@ -254,7 +249,7 @@ class LockTable:
         actor span when the process was named (``env.process(name=...)``),
         so per-actor profiles attribute lock waits to their actor.
         """
-        tracer = get_tracer()
+        tracer = self.env.ctx.tracer
         if not tracer.enabled:
             return
         waiter.span = tracer.start_span(
@@ -275,7 +270,7 @@ class LockTable:
         Immediate grants record 0.0 so the histogram reflects the full
         distribution, not just the contended tail.
         """
-        get_metrics().histogram("lock.wait", style=self.style) \
+        self.env.ctx.metrics.histogram("lock.wait", style=self.style) \
             .record(waited)
 
     def _compatible(self, key: str, owner: str, mode: str) -> bool:
@@ -291,7 +286,7 @@ class LockTable:
         return all(h.owner == owner for h in holders)
 
     def _install(self, key: str, owner: str, mode: str) -> LockGrant:
-        get_sanitizer().acquire("lock:" + key, owner)
+        self.env.ctx.sanitizer.acquire("lock:" + key, owner)
         grant = LockGrant(self, key, owner, mode, self.env.now)
         self._held.setdefault(key, []).append(grant)
         flight = _flight_of(self.env)
@@ -338,7 +333,7 @@ class LockTable:
                 holders.remove(holder)
                 # A takeover is a forced hand-off: the taker is ordered
                 # after the revoked holder's work so far.
-                get_sanitizer().release("lock:" + key, holder.owner)
+                self.env.ctx.sanitizer.release("lock:" + key, holder.owner)
                 if flight is not None:
                     flight.record_lock("revoke", key, holder.owner,
                                        holder.mode, self.style)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.hb import get_sanitizer
 from repro.errors import ConcurrencyError
+from repro.sim.context import current
 
 
 class DataItem:
@@ -40,6 +40,9 @@ class SharedStore:
     def __init__(self, name: str = "store",
                  keep_history: bool = False) -> None:
         self.name = name
+        #: Sees every read and write: the sanitizer installed where the
+        #: store is built (a store has no environment of its own).
+        self.sanitizer = current().sanitizer
         self._items: Dict[str, DataItem] = {}
         self._subscribers: List[Callable[[str, Any, int, str], None]] = []
         self.reads = 0
@@ -80,14 +83,14 @@ class SharedStore:
     def read(self, key: str, reader: str = "", at: float = 0.0) -> Any:
         """Read an item's current value."""
         self.reads += 1
-        get_sanitizer().on_read(
+        self.sanitizer.on_read(
             "{}/{}".format(self.name, key), reader, at)
         return self.item(key).value
 
     def write(self, key: str, value: Any, writer: str = "",
               at: float = 0.0) -> int:
         """Write an item; returns the new version and notifies subscribers."""
-        get_sanitizer().on_write(
+        self.sanitizer.on_write(
             "{}/{}".format(self.name, key), writer, at)
         item = self.ensure(key)
         item.value = value

@@ -29,7 +29,6 @@ from a declarative :class:`~repro.faults.schedule.FaultSchedule`, so
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict
 
 from repro.faults.degrade import DegradationManager
@@ -47,13 +46,14 @@ from repro.node import ODPRuntime
 from repro.obs import slo
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.sampling import Sampler
-from repro.obs.tracer import Tracer, get_tracer, use_tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.qos.broker import QoSBroker
 from repro.qos.monitor import QoSMonitor
 from repro.qos.params import QoSParameters
 from repro.sessions.floor import FcfsFloor
 from repro.sessions.session import Session
 from repro.sim import Environment, RandomStreams, exponential
+from repro.sim.context import current
 
 # -- partition-recovery ------------------------------------------------------
 
@@ -87,21 +87,16 @@ def partition_recovery_workload(seed: int = 31,
     against (and a direct check that the injector is inert without
     scheduled events).
     """
-    ambient = get_tracer()
-    if ambient.enabled:
-        tracer = ambient
-        scope = contextlib.nullcontext()
-    else:
-        tracer = Tracer()
-        scope = use_tracer(tracer)
-
-    env = Environment()
-    topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.02,
-               seed=seed)
-    net = Network(env, topo)
+    ambient = current().tracer
+    tracer = ambient if ambient.enabled else Tracer()
     metrics = MetricsRegistry()
 
-    with scope, use_metrics(metrics):
+    with use_tracer(tracer), use_metrics(metrics):
+        env = Environment()
+        topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.02,
+                   seed=seed)
+        net = Network(env, topo)
+
         # The cooperating group, failure-detected by phi accrual.
         group = ProcessGroup(net, "team", ordering="causal")
         views = []
@@ -262,24 +257,20 @@ TAIL_BUFFER = 4096
 
 def flaky_links_workload(seed: int = 31) -> Dict[str, Any]:
     """Recovery policies under flaps, loss bursts and latency storms."""
-    ambient = get_tracer()
-    if ambient.enabled:
-        tracer = ambient
-        scope = contextlib.nullcontext()
-    else:
-        tracer = Tracer(sampler=Sampler(rate=SAMPLE_RATE, seed=seed),
-                        tail_keep_errors=True, tail_buffer=TAIL_BUFFER)
-        scope = use_tracer(tracer)
-
-    env = Environment()
-    streams = RandomStreams(seed)
-    topo = Topology(env)
-    topo.add_link("client", "server", latency=0.005, bandwidth=1e7,
-                  rng=streams.stream("link"))
-    net = Network(env, topo)
+    ambient = current().tracer
+    tracer = ambient if ambient.enabled else Tracer(
+        sampler=Sampler(rate=SAMPLE_RATE, seed=seed),
+        tail_keep_errors=True, tail_buffer=TAIL_BUFFER)
     metrics = MetricsRegistry()
 
-    with scope, use_metrics(metrics):
+    with use_tracer(tracer), use_metrics(metrics):
+        env = Environment()
+        streams = RandomStreams(seed)
+        topo = Topology(env)
+        topo.add_link("client", "server", latency=0.005, bandwidth=1e7,
+                      rng=streams.stream("link"))
+        net = Network(env, topo)
+
         policies = FaultPolicies(
             retry=RetryPolicy(base=0.05, multiplier=2.0, cap=1.0,
                               jitter=0.2, max_retries=4,
@@ -443,16 +434,17 @@ def fuzz_probe_workload(seed: int = 31) -> Dict[str, Any]:
     ``PROBE_DRAIN`` seconds more, long enough for the slowest possible
     retry ladder to resolve either way.
     """
-    env = Environment()
-    streams = RandomStreams(seed)
-    topo = Topology(env)
-    for a, b in PROBE_LINKS:
-        topo.add_link(a, b, latency=0.005, bandwidth=1e7,
-                      rng=streams.stream("link-{}-{}".format(a, b)))
-    net = Network(env, topo)
     metrics = MetricsRegistry()
 
     with use_metrics(metrics):
+        env = Environment()
+        streams = RandomStreams(seed)
+        topo = Topology(env)
+        for a, b in PROBE_LINKS:
+            topo.add_link(a, b, latency=0.005, bandwidth=1e7,
+                          rng=streams.stream("link-{}-{}".format(a, b)))
+        net = Network(env, topo)
+
         policies = FaultPolicies(
             retry=RetryPolicy(base=0.05, multiplier=2.0, cap=0.4,
                               jitter=0.2, max_retries=3,

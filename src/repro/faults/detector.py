@@ -31,7 +31,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_metrics
+from repro.sim.context import current
 
 #: Floor on the fitted standard deviation, as a fraction of the mean
 #: interval — keeps phi finite when arrivals are metronome-regular.
@@ -100,6 +100,9 @@ class PhiAccrualDetector:
         self.window = window
         self.min_samples = min_samples
         self.bootstrap_interval = bootstrap_interval
+        #: Receives ``detector.suspicions``: the registry installed where
+        #: the detector is built (a strategy has no environment).
+        self.metrics = current().metrics
         self._windows: Dict[str, _ArrivalWindow] = {}
 
     # -- strategy interface -------------------------------------------------
@@ -124,8 +127,8 @@ class PhiAccrualDetector:
     def suspect(self, member: str, silent_for: float, now: float) -> bool:
         phi = self.phi(member, now)
         if phi >= self.threshold:
-            get_metrics().counter("detector.suspicions",
-                                  member=member).add()
+            self.metrics.counter("detector.suspicions",
+                                 member=member).add()
             return True
         return False
 

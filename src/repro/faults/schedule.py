@@ -21,12 +21,10 @@ first-class citizens of the tracing/report pipeline.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.sim.context import scope
 
 #: Event kinds understood by the injector.
 KINDS = (
@@ -383,37 +381,17 @@ def _pair_key(onset_kind: str, params: Dict[str, Any]) -> Tuple[Any, ...]:
     return ("loss", params["extra_loss"], _canon_links(params["links"]))
 
 
-#: Process-default schedule override: when set, every new
-#: :class:`FaultInjector` passes ``(network, schedule)`` through the
-#: factory and executes what it returns instead.  This is the fuzzer's
-#: injection point — a campaign swaps a workload's hand-written
-#: schedule for a generated candidate without the workload knowing.
-_schedule_override: Optional[Callable[..., "FaultSchedule"]] = None
-
-
-def get_schedule_override() -> Optional[Callable[..., "FaultSchedule"]]:
-    """The active override factory (``None`` outside a fuzz campaign)."""
-    return _schedule_override
-
-
-def set_schedule_override(
-        factory: Optional[Callable[..., "FaultSchedule"]]
-) -> Optional[Callable[..., "FaultSchedule"]]:
-    """Install ``factory`` as the override; returns the previous one."""
-    global _schedule_override
-    previous = _schedule_override
-    _schedule_override = factory
-    return previous
-
-
-@contextlib.contextmanager
 def use_schedule_override(factory: Callable[..., "FaultSchedule"]):
-    """Scope ``factory`` as the schedule override, restoring on exit."""
-    previous = set_schedule_override(factory)
-    try:
-        yield factory
-    finally:
-        set_schedule_override(previous)
+    """Scope ``factory`` as the schedule override of environments built
+    inside the ``with`` (``env.ctx.schedule_override``).
+
+    Every :class:`FaultInjector` on such an environment passes
+    ``(network, schedule)`` through the factory and executes what it
+    returns instead.  This is the fuzzer's injection point: a campaign
+    swaps a workload's hand-written schedule for a generated candidate
+    without the workload knowing.
+    """
+    return scope("schedule_override", factory)
 
 
 class FaultInjector:
@@ -433,7 +411,7 @@ class FaultInjector:
                  name: str = "fault-injector") -> None:
         self.env = env
         self.network = network
-        override = get_schedule_override()
+        override = env.ctx.schedule_override
         if override is not None:
             schedule = override(network, schedule)
         self.schedule = schedule
@@ -457,8 +435,8 @@ class FaultInjector:
     # -- internals ----------------------------------------------------------
 
     def _run(self):
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer = self.env.ctx.tracer
+        metrics = self.env.ctx.metrics
         for event in self.schedule.ordered():
             if event.at > self.env.now:
                 yield self.env.timeout(event.at - self.env.now)

@@ -24,10 +24,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagation import extract
 from repro.obs.span import NOOP_SPAN
-from repro.obs.tracer import get_tracer
 from repro.sim import Counter, Environment, Process, Store, Tally
 from repro.sim.resources import PriorityRequest
 
@@ -205,9 +204,7 @@ class Host:
 class Network:
     """Moves packets across a topology between registered hosts."""
 
-    def __init__(self, env: Environment, topology: Topology,
-                 tracer=None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, env: Environment, topology: Topology) -> None:
         if topology.env is not env:
             raise NetworkError("topology belongs to a different environment")
         self.env = env
@@ -219,29 +216,18 @@ class Network:
         self.on_drop: Optional[Callable[[Packet, str], None]] = None
         #: Per-reason drop tally behind :meth:`drop_stats`.
         self._drop_reasons: Dict[str, int] = {}
-        # Instance overrides; None means "use the process-wide default",
-        # resolved per packet so tracing can be enabled mid-run.
-        self._tracer = tracer
-        self._metrics = metrics
-        # Metric cells: the current binding (rebound whenever the
-        # resolved registry's identity changes) plus every binding ever
-        # made, so counters/delivery_latency reads can flush stragglers
-        # from before a registry swap.
-        self._cells: Optional[_NetMetricCells] = None
-        self._all_cells: List[_NetMetricCells] = []
+        self._cells = _NetMetricCells(self, env.ctx.metrics)
 
     @property
     def counters(self) -> Counter:
         """Legacy sent/delivered/dropped counts (cells flushed first)."""
-        for cells in self._all_cells:
-            cells.flush()
+        self._cells.flush()
         return self._counters
 
     @property
     def delivery_latency(self) -> Tally:
         """End-to-end delivery latencies (cells flushed first)."""
-        for cells in self._all_cells:
-            cells.flush()
+        self._cells.flush()
         return self._delivery_latency
 
     def host(self, name: str) -> Host:
@@ -298,13 +284,8 @@ class Network:
         is inlined from link.py, which carries the matching notice.
         """
         env = self.env
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        metrics = self._metrics if self._metrics is not None \
-            else get_metrics()
+        tracer = env.ctx.tracer
         cells = self._cells
-        if cells is None or cells.registry is not metrics:
-            cells = self._cells = _NetMetricCells(self, metrics)
-            self._all_cells.append(cells)
         cells.sent += 1
         node_sent = cells.node_sent
         src = packet.src
@@ -326,7 +307,7 @@ class Network:
         try:
             links = self.topology.path(packet.src, packet.dst)
         except RoutingError:
-            self._drop(packet, "no-route", cells, span)
+            self._drop(packet, "no-route", span)
             return
         node = packet.src
         priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
@@ -335,15 +316,11 @@ class Network:
         # its head, every hop would otherwise still pay the span + label
         # allocation — the dominant trace cost at scale.
         record_hops = span.is_recording
-        # Flight journal (repro.obs.flight): hop and drop records, bound
-        # to this environment at its construction.  None — the default —
-        # costs one check per hop/drop.
-        flight = env._flight
-        if flight is not None and not flight.journal_net:
+        # Flight journal (repro.obs.flight): hop and drop records.  None
+        # — the default — costs one check per hop.
+        flight = env.ctx.flight
+        if not flight.journal_net:
             flight = None
-        # `cells` (not self._cells) below: another packet may rebind the
-        # network to a different registry between our yields, but these
-        # cells stay tied to the registry this packet resolved.
         link_bytes = cells.link_bytes
         for link in links:
             hop = tracer.start_span(
@@ -390,7 +367,7 @@ class Network:
                 if hop is not None:
                     hop.set_status("dropped")
                     hop.finish(at=env._now)
-                self._drop(packet, drop_reason, cells, span, link=link)
+                self._drop(packet, drop_reason, span, link=link)
                 return
             delay = link.latency * link._latency_scale
             if link.jitter > 0:
@@ -410,7 +387,7 @@ class Network:
                 hop.finish(at=env._now)
         target = self.hosts.get(packet.dst)
         if target is None:
-            self._drop(packet, "no-host", cells, span)
+            self._drop(packet, "no-host", span)
             return
         cells.delivered += 1
         node_delivered = cells.node_delivered
@@ -420,22 +397,22 @@ class Network:
         span.finish(at=env._now)
         target._deliver(packet)
 
-    def _drop(self, packet: Packet, reason: str, cells: _NetMetricCells,
-              span, link=None) -> None:
+    def _drop(self, packet: Packet, reason: str, span, link=None) -> None:
         self._counters.incr("dropped")
         self._counters.incr("dropped:" + reason)
         self._drop_reasons[reason] = self._drop_reasons.get(reason, 0) + 1
         # Accumulate: the keyed factories flush every cell on entry,
         # which a loss burst must not pay per drop.  The per-link,
         # per-reason count feeds the dashboard link table's "drops".
+        cells = self._cells
         drops = cells.drops
         drops[reason] = drops.get(reason, 0) + 1
         if link is not None:
             link_drops = cells.link_drops
             drop_key = (link.label, reason)
             link_drops[drop_key] = link_drops.get(drop_key, 0) + 1
-        flight = self.env._flight
-        if flight is not None and flight.journal_net:
+        flight = self.env.ctx.flight
+        if flight.journal_net:
             flight.record_drop(reason,
                                link.label if link is not None else None,
                                packet.src, packet.dst, packet.port,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.analysis.hb import extract_clock, inject_clock
 from repro.errors import TransportError
 from repro.faults.policies import (
     CircuitOpenError,
@@ -21,29 +20,9 @@ from repro.faults.policies import (
 )
 from repro.net.network import Host
 from repro.net.packet import Packet
-from repro.obs.metrics import BoundCounterCache, get_metrics
+from repro.obs.metrics import BoundCounterCache
 from repro.obs.propagation import extract, inject
-from repro.obs.tracer import get_tracer
 from repro.sim import Event, Store
-
-
-def _gauge_set(name: str, node: str, value: int, at: float) -> None:
-    """Record a gauge sample, tolerating ambient-registry reuse.
-
-    Instrumentation writes to whatever registry is ambient.  The
-    process-default registry outlives simulation environments, so a
-    fresh environment's t=0 can sit "before" samples an earlier
-    environment already recorded; a time-series gauge rejects that.
-    Workloads that read these gauges install a scoped registry per run
-    (where time is monotonic), so dropping the out-of-order sample only
-    affects the throwaway default.
-    """
-    gauge = get_metrics().gauge(name, node=node)
-    series = getattr(gauge, "series", None)
-    if series is not None and series.samples \
-            and at < series.samples[-1][0]:
-        return
-    gauge.set(value, at=at)
 
 
 class ReliableChannel:
@@ -88,10 +67,11 @@ class ReliableChannel:
         #: oracle's view of operations that never resolved (mirrored as
         #: the ``chan.inflight`` gauge).
         self._inflight = 0
+        metrics = self.env.ctx.metrics
         self._retry_counters = BoundCounterCache(
-            "chan.retries", "dst", node=host.name)
+            metrics, "chan.retries", "dst", node=host.name)
         self._gave_up_counters = BoundCounterCache(
-            "chan.gave_up", "dst", node=host.name)
+            metrics, "chan.gave_up", "dst", node=host.name)
         host.on_packet(port, self._on_packet)
 
     def send(self, dst: str, payload: Any = None, size: int = 0,
@@ -123,8 +103,8 @@ class ReliableChannel:
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
-        _gauge_set("chan.inflight", self.host.name, self._inflight,
-                   self.env.now)
+        self.env.ctx.metrics.gauge("chan.inflight", node=self.host.name) \
+            .set(self._inflight, at=self.env.now)
 
     # -- internals ---------------------------------------------------------
 
@@ -134,7 +114,7 @@ class ReliableChannel:
             self._seq[dst] = itertools.count(1)
         seq = next(self._seq[dst])
         self._track(+1)
-        span = get_tracer().start_span(
+        span = self.env.ctx.tracer.start_span(
             "chan.send", at=self.env.now, parent=parent,
             node=self.host.name, dst=dst, seq=seq)
         attempts = 0
@@ -242,7 +222,7 @@ class RpcEndpoint:
         #: gauge for the dashboard and the fuzzer's liveness oracle.
         self._inflight = 0
         self._retry_counters = BoundCounterCache(
-            "rpc.retries", "dst", node=host.name)
+            self.env.ctx.metrics, "rpc.retries", "dst", node=host.name)
         host.on_packet(port, self._on_packet)
 
     def register(self, method: str, handler: Callable) -> None:
@@ -270,8 +250,8 @@ class RpcEndpoint:
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
-        _gauge_set("rpc.inflight", self.host.name, self._inflight,
-                   self.env.now)
+        self.env.ctx.metrics.gauge("rpc.inflight", node=self.host.name) \
+            .set(self._inflight, at=self.env.now)
 
     # -- internals ---------------------------------------------------------
 
@@ -281,7 +261,7 @@ class RpcEndpoint:
         retry = policies.retry if policies is not None else None
         breaker = policies.breaker if policies is not None else None
         budget = policies.budget(self.env) if policies is not None else None
-        span = get_tracer().start_span(
+        span = self.env.ctx.tracer.start_span(
             "rpc.call", at=self.env.now, parent=parent,
             node=self.host.name, dst=dst, method=method)
         self._track(+1)
@@ -304,7 +284,7 @@ class RpcEndpoint:
             # after the caller's history (and vice versa on the response).
             self.host.send(dst, payload={"method": method, "args": args},
                            size=self.request_size, port=self.port,
-                           headers=inject_clock(
+                           headers=self.env.ctx.sanitizer.inject_clock(
                                inject(span, {"type": "request",
                                              "call": call_id}),
                                self.host.name))
@@ -356,17 +336,18 @@ class RpcEndpoint:
         elif kind == "response":
             reply = self._calls.get(packet.headers["call"])
             if reply is not None and not reply.triggered:
-                extract_clock(packet.headers, self.host.name)
+                self.env.ctx.sanitizer.extract_clock(packet.headers,
+                                                     self.host.name)
                 reply.succeed(packet.payload)
 
     def _serve(self, packet: Packet):
         method = packet.payload["method"]
         args = packet.payload["args"]
-        extract_clock(packet.headers, self.host.name)
+        self.env.ctx.sanitizer.extract_clock(packet.headers, self.host.name)
         # The serving span parents under the caller's rpc.call context
         # carried by the request packet; its duration is the remote
         # execution time.
-        span = get_tracer().start_span(
+        span = self.env.ctx.tracer.start_span(
             "rpc.serve", at=self.env.now, parent=extract(packet.headers),
             node=self.host.name, caller=packet.src, method=method)
         handler = self._handlers.get(method)
@@ -387,7 +368,7 @@ class RpcEndpoint:
         span.finish(at=self.env.now)
         self.host.send(packet.src, payload=outcome,
                        size=self.response_size, port=self.port,
-                       headers=inject_clock(
+                       headers=self.env.ctx.sanitizer.inject_clock(
                            inject(span, {
                                "type": "response",
                                "call": packet.headers["call"]}),

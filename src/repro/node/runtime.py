@@ -16,8 +16,7 @@ from repro.faults.policies import CircuitOpenError, FaultPolicies
 from repro.net.network import Host, Network
 from repro.net.transport import RemoteException, RpcEndpoint, RpcError
 from repro.node.objects import Capsule, Cluster, EngineeringObject
-from repro.obs.metrics import BoundCounterCache, get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs.metrics import BoundCounterCache
 from repro.sim import Event
 
 RPC_PORT = 10
@@ -57,13 +56,13 @@ class Nucleus:
         self.policies = policies
         self.capsules: Dict[str, Capsule] = {}
         self._location_cache: Dict[str, str] = {}
-        # Bound metric handles for the per-invocation instruments;
-        # rebound whenever the process-default registry changes identity.
+        # Bound metric handles for the per-invocation instruments.
+        metrics = self.env.ctx.metrics
         self._invocation_counters = BoundCounterCache(
-            "node.invocations", "kind", node=host.name)
+            metrics, "node.invocations", "kind", node=host.name)
         self._op_counters = BoundCounterCache(
-            "node.op.invocations", "op", node=host.name)
-        self._bound_registry = None
+            metrics, "node.op.invocations", "op", node=host.name)
+        # Bound on the first successful remote call.
         self._rpc_latency = None
         self.rpc = RpcEndpoint(host, port=RPC_PORT, policies=policies)
         self.rpc.register("invoke", self._handle_invoke)
@@ -129,8 +128,7 @@ class Nucleus:
     def _invoke_proc(self, oid: str, op: str, args: Any,
                      timeout: float, done: Event, parent: Any = None):
         start = self.env.now
-        metrics = get_metrics()
-        span = get_tracer().start_span(
+        span = self.env.ctx.tracer.start_span(
             "node.invoke", at=start, parent=parent,
             node=self.node_name, oid=oid, op=op)
         self._op_counters.get(op).add()
@@ -193,9 +191,8 @@ class Nucleus:
                 done.fail(NodeError(str(error)))
                 return
             span.finish(at=self.env.now)
-            if metrics is not self._bound_registry:
-                self._bound_registry = metrics
-                self._rpc_latency = metrics.bind_histogram(
+            if self._rpc_latency is None:
+                self._rpc_latency = self.env.ctx.metrics.bind_histogram(
                     "rpc.latency", node=self.node_name)
             self._rpc_latency.record(self.env.now - start)
             done.succeed(result)
@@ -208,7 +205,7 @@ class Nucleus:
     def _whereis(self, oid: str, timeout: float, parent: Any = None):
         if self.registry is not None:
             return self.registry.lookup(oid)
-        span = get_tracer().start_span(
+        span = self.env.ctx.tracer.start_span(
             "node.whereis", at=self.env.now, parent=parent,
             node=self.node_name, oid=oid)
         try:
@@ -246,7 +243,7 @@ class Nucleus:
                     cluster.name, self.node_name)))
             return
         size = cluster.state_size
-        span = get_tracer().start_span(
+        span = self.env.ctx.tracer.start_span(
             "node.migrate", at=self.env.now, node=self.node_name,
             cluster=cluster.name, target=target_node, bytes=size)
         capsule.remove_cluster(cluster.cluster_id)
@@ -275,7 +272,8 @@ class Nucleus:
         for obj in cluster.objects.values():
             yield from self._update_registry(obj.oid, target_node)
         span.finish(at=self.env.now)
-        get_metrics().counter("node.migrations", node=self.node_name).add()
+        self.env.ctx.metrics.counter("node.migrations",
+                                     node=self.node_name).add()
         done.succeed(target_node)
 
     def _charge_transfer(self, target_node: str, size: int):

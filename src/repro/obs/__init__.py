@@ -6,9 +6,9 @@ substrate.  This package provides it for every layer of the middleware:
 
 * **Tracing** — :class:`Tracer` / :class:`Span` build causal trees across
   nucleus invocation, packet transit and remote execution, with contexts
-  propagated through packet headers (:mod:`repro.obs.propagation`).  The
-  process default is a zero-cost :class:`NoopTracer`; call
-  :func:`enable_tracing` to collect.
+  propagated through packet headers (:mod:`repro.obs.propagation`).  A
+  run built outside every tracer scope binds the zero-cost
+  :class:`NoopTracer`; build it inside :func:`use_tracer` to collect.
 * **Metrics** — :class:`MetricsRegistry` unifies counters, histograms and
   gauges behind named, labelled instruments with one :meth:`snapshot()
   <MetricsRegistry.snapshot>`; ``bind_counter``/``bind_histogram``/
@@ -42,15 +42,21 @@ substrate.  This package provides it for every layer of the middleware:
   records, metrics and open spans when a workload raises or an SLO
   burn alert fires.
 
+Every instrument is installed by a scope (:func:`use_tracer`,
+:func:`use_metrics`, :func:`use_flight`) and bound by each environment
+built inside it as ``env.ctx.tracer``, ``env.ctx.metrics`` and
+``env.ctx.flight`` (:mod:`repro.sim.context`); an environment built
+outside a metrics scope gets its own fresh registry.
+
 Quick start::
 
     from repro import obs
 
-    tracer = obs.enable_tracing(sampler=obs.Sampler(rate=0.1, seed=31))
-    ... run any simulation ...
+    sampler = obs.Sampler(rate=0.1, seed=31)
+    with obs.use_tracer(obs.Tracer(sampler=sampler)) as tracer:
+        ... build and run any simulation ...
     obs.dump_jsonl("run.jsonl", tracer=tracer)
     obs.dump_chrome_trace("run.trace.json", tracer=tracer)
-    obs.disable_tracing()
 """
 
 from repro.obs.export import (
@@ -67,10 +73,6 @@ from repro.obs.flight import (
     BlackBox,
     FlightRecorder,
     NoopFlightRecorder,
-    disable_flight,
-    enable_flight,
-    get_flight,
-    set_flight,
     use_flight,
 )
 from repro.obs.metrics import (
@@ -79,8 +81,6 @@ from repro.obs.metrics import (
     HistogramInstrument,
     MetricsRegistry,
     NullRegistry,
-    get_metrics,
-    set_metrics,
     use_metrics,
 )
 from repro.obs.critical import critical_path, critical_summary
@@ -94,10 +94,6 @@ from repro.obs.tracer import (
     NOOP_TRACER,
     NoopTracer,
     Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    set_tracer,
     use_tracer,
 )
 
@@ -127,25 +123,15 @@ __all__ = [
     "critical_path",
     "critical_summary",
     "dimension_table",
-    "disable_flight",
-    "disable_tracing",
     "dump_chrome_trace",
     "dump_jsonl",
-    "enable_flight",
-    "enable_tracing",
     "extract",
-    "get_flight",
-    "get_metrics",
-    "get_tracer",
     "inject",
     "load_jsonl",
     "load_jsonl_tolerant",
     "load_windows",
     "meta_record",
     "render_profile",
-    "set_flight",
-    "set_metrics",
-    "set_tracer",
     "use_flight",
     "use_metrics",
     "use_tracer",

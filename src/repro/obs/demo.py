@@ -31,7 +31,6 @@ profiler sees the spans.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict
 
 from repro.net import Network, wan
@@ -40,8 +39,9 @@ from repro.obs import slo
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.profile import SpanProfile
 from repro.obs.sampling import Sampler
-from repro.obs.tracer import Tracer, get_tracer, use_tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.sim import Environment, RandomStreams, exponential, zipf_index
+from repro.sim.context import current
 
 CLIENTS = 3
 REQUESTS = 8
@@ -52,16 +52,11 @@ MAX_SPANS = 256
 
 def traced_rpc_workload(seed: int = 31) -> Dict[str, Any]:
     """WAN RPC fan-in under deterministic head sampling."""
-    ambient = get_tracer()
-    if ambient.enabled:
-        tracer = ambient
-        scope = contextlib.nullcontext()
-    else:
-        tracer = Tracer(sampler=Sampler(rate=SAMPLE_RATE, seed=seed),
-                        max_spans=MAX_SPANS)
-        scope = use_tracer(tracer)
-
-    env = Environment()
+    ambient = current().tracer
+    tracer = ambient if ambient.enabled else Tracer(
+        sampler=Sampler(rate=SAMPLE_RATE, seed=seed), max_spans=MAX_SPANS)
+    with use_tracer(tracer), use_metrics(MetricsRegistry()):
+        env = Environment()
     topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.03)
     net = Network(env, topo)
     runtime = ODPRuntime(net, registry_node="site0.host0")
@@ -89,12 +84,11 @@ def traced_rpc_workload(seed: int = 31) -> Dict[str, Any]:
                 done += 1
         results[name] = done
 
-    with scope, use_metrics(MetricsRegistry()):
-        hosts = ["site1.host0", "site1.host1", "site0.host1"]
-        for i in range(CLIENTS):
-            name = "client-{}".format(i)
-            env.process(client_proc(env, name, hosts[i]), name=name)
-        env.run()
+    hosts = ["site1.host0", "site1.host1", "site0.host1"]
+    for i in range(CLIENTS):
+        name = "client-{}".format(i)
+        env.process(client_proc(env, name, hosts[i]), name=name)
+    env.run()
 
     sampled = sorted({span.trace_id for span in tracer.spans},
                      key=lambda t: int(t[1:]) if t[1:].isdigit() else 0)
@@ -130,10 +124,11 @@ BURN_WINDOWS = ((10.0, 2.0, 4.0, "page"),)
 
 def slo_burn_workload(seed: int = 31) -> Dict[str, Any]:
     """A service degradation that fires, then clears, a burn-rate alert."""
-    env = Environment()
     # A scoped registry keeps the run self-contained: gauge time series
     # restart from zero, and repeated runs stay digest-identical.
     metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        env = Environment()
 
     def service(env):
         n = 0
@@ -154,8 +149,7 @@ def slo_burn_workload(seed: int = 31) -> Dict[str, Any]:
                              interval=1.0, windows=BURN_WINDOWS,
                              until=RUN_UNTIL)
     env.process(service(env), name="service")
-    with use_metrics(metrics):
-        env.run()
+    env.run()
 
     fired = [e for e in monitor.events if e["event"] == "fired"]
     cleared = [e for e in monitor.events if e["event"] == "cleared"]
@@ -201,17 +195,13 @@ def timeline_demo_workload(seed: int = 31) -> Dict[str, Any]:
     from repro.obs.tables import dimension_table
     from repro.obs.timeline import TimelineRecorder
 
-    ambient = get_tracer()
-    if ambient.enabled:
-        tracer = ambient
-        scope = contextlib.nullcontext()
-    else:
-        # No sampler: every trace is retained, so critical paths are
-        # complete end to end.
-        tracer = Tracer(max_spans=TL_MAX_SPANS)
-        scope = use_tracer(tracer)
-
-    env = Environment()
+    # No sampler: every trace is retained, so critical paths are
+    # complete end to end.
+    ambient = current().tracer
+    tracer = ambient if ambient.enabled else Tracer(max_spans=TL_MAX_SPANS)
+    metrics = MetricsRegistry()
+    with use_tracer(tracer), use_metrics(metrics):
+        env = Environment()
     topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.03)
     net = Network(env, topo)
     runtime = ODPRuntime(net, registry_node="site0.host0")
@@ -230,7 +220,6 @@ def timeline_demo_workload(seed: int = 31) -> Dict[str, Any]:
         board.operation(name, bump(name))
 
     rng = RandomStreams(seed).stream("timeline-demo")
-    metrics = MetricsRegistry()
     recorder = TimelineRecorder(env, registry=metrics,
                                 resolution=TL_RESOLUTION)
 
@@ -248,14 +237,13 @@ def timeline_demo_workload(seed: int = 31) -> Dict[str, Any]:
     # so per-node totals are properly skewed, not merely unequal.
     placements = ["site1.host0", "site1.host0", "site1.host1",
                   "site0.host1"]
-    with scope, use_metrics(metrics):
-        for i in range(TL_CLIENTS):
-            name = "client-{}".format(i)
-            env.process(
-                client_proc(env, name, placements[i],
-                            max(2, TL_REQUESTS // (i + 1))),
-                name=name)
-        env.run()
+    for i in range(TL_CLIENTS):
+        name = "client-{}".format(i)
+        env.process(
+            client_proc(env, name, placements[i],
+                        max(2, TL_REQUESTS // (i + 1))),
+            name=name)
+    env.run()
     recorder.finish()
 
     windows = list(recorder.records())

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Span
-from repro.obs.tracer import NoopTracer, Tracer, get_tracer
+from repro.obs.tracer import NoopTracer, Tracer
+from repro.sim.context import current
 
 #: Chrome trace timestamps are microseconds; simulated time is seconds.
 MICROSECONDS = 1e6
@@ -49,8 +50,9 @@ def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
                meta: Optional[Dict[str, Any]] = None) -> int:
     """Write meta, spans, metrics, windows, flight; returns line count.
 
-    With no explicit ``tracer``/``metrics`` the process-wide defaults are
-    exported (the no-op tracer exports zero span lines).  ``timeline``
+    With no explicit ``tracer``/``metrics`` those installed by the
+    enclosing ``use_*`` scopes are exported (outside every scope: the
+    no-op tracer, which exports zero span lines, and an empty registry).  ``timeline``
     optionally takes a :class:`~repro.obs.timeline.TimelineRecorder`
     (or any iterable of window dicts) whose ``{"kind": "window"}``
     records are appended; ``flight`` a
@@ -60,8 +62,9 @@ def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
     provenance fields, see :func:`meta_record`) becomes the dump's
     first line; dumps without one remain valid for every loader.
     """
-    tracer = tracer if tracer is not None else get_tracer()
-    metrics = metrics if metrics is not None else get_metrics()
+    ctx = current()
+    tracer = tracer if tracer is not None else ctx.tracer
+    metrics = metrics if metrics is not None else ctx.metrics
     lines = 0
     with open(path, "w") as handle:
         if meta is not None:
@@ -132,7 +135,7 @@ def chrome_trace(tracer: Optional[Tracer] = None) -> Dict[str, Any]:
     Perfetto lays traces out one row per node; spans without a node land
     on tid 0.  Unfinished spans are exported with zero duration.
     """
-    tracer = tracer if tracer is not None else get_tracer()
+    tracer = tracer if tracer is not None else current().tracer
     if isinstance(tracer, NoopTracer):
         return {"traceEvents": []}
     tids: Dict[str, int] = {}

@@ -15,7 +15,7 @@ divergent epoch can be found by binary search
 
 Design constraints, in order:
 
-* **No-op by default.**  The process default is :data:`NOOP_FLIGHT`;
+* **No-op by default.**  An unscoped run binds :data:`NOOP_FLIGHT`;
   instrumentation sites pay one ``is not None`` / attribute check.
 * **Observe, never perturb.**  Recording draws no RNG, schedules no
   events and advances no clocks, so replay digests are byte-identical
@@ -29,9 +29,10 @@ Design constraints, in order:
   divergence localizer's full-journal re-run, with ``context`` records
   preserved from just before the range.
 
-This module is stdlib-only on purpose: the simulation kernel
-(:mod:`repro.sim.environment`, :mod:`repro.sim.rng`) imports it lazily,
-and it must never pull the rest of :mod:`repro.obs` onto that path.
+The kernel reaches the recorder through its run context
+(``env.ctx.flight``, bound when the environment is built), so a
+recorder observes exactly the environments built inside its
+:func:`use_flight` scope.
 
 Quick start::
 
@@ -52,6 +53,9 @@ import hashlib
 import json
 import re
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+
+from repro.obs.export import META_SCHEMA, span_record
+from repro.sim.context import current, scope
 
 #: Schema tag stamped on flight records in JSONL dumps.
 FLIGHT_SCHEMA = "repro-flight/1"
@@ -372,54 +376,13 @@ class NoopFlightRecorder:
         return "<NoopFlightRecorder>"
 
 
-#: The shared disabled recorder (the process default).
+#: The shared disabled recorder (the default of every run context).
 NOOP_FLIGHT = NoopFlightRecorder()
 
-_flight: Union[FlightRecorder, NoopFlightRecorder] = NOOP_FLIGHT
-
-
-def get_flight() -> Union[FlightRecorder, NoopFlightRecorder]:
-    """The process-wide flight recorder consulted by kernel hooks.
-
-    Environments bind it at construction (like the tracer, resolved
-    lazily so the kernel never imports :mod:`repro.obs` eagerly), so
-    install a recorder *before* creating the environments it should
-    observe — :func:`use_flight` around a workload run does exactly
-    that.
-    """
-    return _flight
-
-
-def set_flight(recorder: Optional[Union[FlightRecorder,
-                                        NoopFlightRecorder]]
-               ) -> Union[FlightRecorder, NoopFlightRecorder]:
-    """Install ``recorder`` (``None`` disables); returns the previous."""
-    global _flight
-    previous = _flight
-    _flight = recorder if recorder is not None else NOOP_FLIGHT
-    return previous
-
-
-def enable_flight(**kwargs: Any) -> FlightRecorder:
-    """Install and return a fresh :class:`FlightRecorder`."""
-    recorder = FlightRecorder(**kwargs)
-    set_flight(recorder)
-    return recorder
-
-
-def disable_flight() -> None:
-    """Restore the zero-cost no-op default."""
-    set_flight(NOOP_FLIGHT)
-
-
-@contextlib.contextmanager
 def use_flight(recorder: Union[FlightRecorder, NoopFlightRecorder]):
-    """Scope ``recorder`` as the process default, restoring on exit."""
-    previous = set_flight(recorder)
-    try:
-        yield recorder
-    finally:
-        set_flight(previous)
+    """Scope ``recorder``: environments built inside the ``with`` bind it
+    as ``env.ctx.flight`` (see :mod:`repro.sim.context`)."""
+    return scope("flight", recorder)
 
 
 class BlackBox:
@@ -431,17 +394,19 @@ class BlackBox:
     the epoch digests, a metrics snapshot and every still-open span are
     written to ``path`` as one JSONL dump, readable by the report and
     dashboard CLIs.  ``flight``/``tracer``/``metrics`` default to the
-    process-wide instances at dump time.
+    instruments the enclosing ``use_*`` scopes installed when the box is
+    built.
     """
 
     def __init__(self, path: str, flight: Any = None, tracer: Any = None,
                  metrics: Any = None, last: int = 256) -> None:
         if last <= 0:
             raise ValueError("last must be positive")
+        ctx = current()
         self.path = path
-        self.flight = flight
-        self.tracer = tracer
-        self.metrics = metrics
+        self.flight = ctx.flight if flight is None else flight
+        self.tracer = ctx.tracer if tracer is None else tracer
+        self.metrics = ctx.metrics if metrics is None else metrics
         self.last = last
         #: Dumps written so far (each overwrites ``path``).
         self.dumps = 0
@@ -449,16 +414,7 @@ class BlackBox:
     def dump(self, reason: str, error: Optional[BaseException] = None
              ) -> str:
         """Write the black-box JSONL dump; returns its path."""
-        # Imported here: flight.py stays stdlib-only at module level so
-        # the sim kernel can import it without pulling in repro.obs.
-        from repro.obs.export import META_SCHEMA, span_record
-        from repro.obs.metrics import get_metrics
-        from repro.obs.tracer import get_tracer
-
-        flight = self.flight if self.flight is not None else get_flight()
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = self.metrics if self.metrics is not None \
-            else get_metrics()
+        flight, tracer, metrics = self.flight, self.tracer, self.metrics
         meta: Dict[str, Any] = {"kind": "meta", "schema": META_SCHEMA,
                                 "black_box": True, "reason": reason,
                                 "flight": flight.stats()}

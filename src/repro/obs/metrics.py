@@ -4,7 +4,7 @@ Unifies the ad-hoc probes (:class:`~repro.sim.monitor.Tally`,
 :class:`~repro.sim.monitor.Counter`, :class:`~repro.sim.monitor.TimeSeries`)
 behind named instruments with labels::
 
-    metrics = obs.get_metrics()
+    metrics = env.ctx.metrics
     metrics.counter("net.drops", reason="loss").add()
     metrics.histogram("rpc.latency", node="host1").record(0.012)
     metrics.snapshot()   # one dict for benchmark tables / JSONL export
@@ -25,9 +25,9 @@ add per record.  Hooks must be idempotent when their cells are empty.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.sim.context import scope
 from repro.sim.monitor import Tally, TimeSeries
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -405,8 +405,8 @@ NULL_GAUGE = _NullGauge()
 class NullRegistry(MetricsRegistry):
     """A registry whose instruments are shared no-op singletons.
 
-    Install it (``set_metrics(NullRegistry())`` or ``use_metrics``) to make
-    every instrumentation site pay ~zero: no keying, no instrument
+    Install it (``use_metrics(NullRegistry())``) to make every
+    instrumentation site pay ~zero: no keying, no instrument
     creation, no storage.  All queries read as empty/zero, and gauges
     ignore their timestamps, so a NullRegistry can be shared across runs.
     """
@@ -424,65 +424,41 @@ class NullRegistry(MetricsRegistry):
         return "<NullRegistry>"
 
 
-_metrics = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-wide registry consulted by instrumentation sites."""
-    return _metrics
-
-
-def set_metrics(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` (``None`` installs a fresh one); returns the
-    previous one."""
-    global _metrics
-    previous = _metrics
-    _metrics = registry if registry is not None else MetricsRegistry()
-    return previous
-
-
 class BoundCounterCache:
-    """Bound counters for one instrument whose last label varies.
+    """Bound counters of ``registry`` for one instrument whose last label
+    varies.
 
     For hot sites like per-destination retry counters: the keyed lookup
     (``registry.counter(name, node=..., dst=...)``) is paid once per
-    (registry, label value) instead of per call.  The cache tracks the
-    process-default registry by identity, so ``use_metrics`` scoping and
-    mid-run swaps rebind transparently::
+    label value instead of per call::
 
-        self._retries = BoundCounterCache("chan.retries", "dst", node=name)
+        self._retries = BoundCounterCache(env.ctx.metrics, "chan.retries",
+                                          "dst", node=name)
         ...
         self._retries.get(dst).add()
     """
 
-    __slots__ = ("name", "label", "static", "_registry", "_bound")
+    __slots__ = ("registry", "name", "label", "static", "_bound")
 
-    def __init__(self, name: str, label: str, **static: Any) -> None:
+    def __init__(self, registry: MetricsRegistry, name: str, label: str,
+                 **static: Any) -> None:
+        self.registry = registry
         self.name = name
         self.label = label
         self.static = static
-        self._registry: Optional[MetricsRegistry] = None
         self._bound: Dict[str, CounterInstrument] = {}
 
     def get(self, value: str) -> CounterInstrument:
-        registry = _metrics
-        if registry is not self._registry:
-            self._registry = registry
-            self._bound = {}
         counter = self._bound.get(value)
         if counter is None:
             labels = dict(self.static)
             labels[self.label] = value
-            counter = self._bound[value] = registry.bind_counter(
+            counter = self._bound[value] = self.registry.bind_counter(
                 self.name, **labels)
         return counter
 
 
-@contextlib.contextmanager
 def use_metrics(registry: MetricsRegistry):
-    """Scope ``registry`` as the process default, restoring on exit."""
-    previous = set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)
+    """Scope ``registry``: environments built inside the ``with`` bind it
+    as ``env.ctx.metrics`` (see :mod:`repro.sim.context`)."""
+    return scope("metrics", registry)

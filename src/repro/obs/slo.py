@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QoSError
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment, Interrupt
 
 #: Default multi-window burn-rate policy, patterned on the SRE workbook
@@ -208,7 +208,10 @@ class SLOMonitor:
                 raise QoSError("burn-rate factor must be positive")
         self.env = env
         self.slos = list(slos)
-        self._registry = registry
+        #: The registry read and written each tick (default: the
+        #: environment's, ``env.ctx.metrics``).
+        self.registry = registry if registry is not None \
+            else env.ctx.metrics
         self.interval = interval
         self.windows = tuple(windows)
         self.until = until
@@ -224,16 +227,6 @@ class SLOMonitor:
         self.alerts: List[BurnAlert] = []
         self._stopped = False
         self.process = env.process(self._run())
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The registry read and written each tick.
-
-        Resolved lazily so a monitor built before ``use_metrics`` scoping
-        still observes the scoped registry.
-        """
-        return self._registry if self._registry is not None \
-            else get_metrics()
 
     def stop(self) -> None:
         """Stop evaluating (lets an open-ended ``env.run()`` drain)."""

@@ -44,7 +44,7 @@ import collections
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.monitor import Tally
 
 
@@ -80,10 +80,7 @@ class TimelineRecorder:
     A trailing partial window flushed by :meth:`finish` carries
     ``"partial": true``.
 
-    ``registry`` defaults to the process-wide registry at construction
-    time; the recorder keeps reading that same registry even if the
-    process default is later swapped (scoped ``use_metrics`` runs stay
-    self-contained).
+    ``registry`` defaults to the environment's (``env.ctx.metrics``).
     """
 
     def __init__(self, env, registry: Optional[MetricsRegistry] = None,
@@ -93,7 +90,8 @@ class TimelineRecorder:
         if retention is not None and retention <= 0:
             raise ValueError("retention must be positive")
         self.env = env
-        self.registry = registry if registry is not None else get_metrics()
+        self.registry = registry if registry is not None \
+            else env.ctx.metrics
         self.resolution = float(resolution)
         self.retention = retention
         self.windows: Any = collections.deque(maxlen=retention) \

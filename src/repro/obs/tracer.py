@@ -1,13 +1,14 @@
-"""Tracers: span factories plus the process-wide default.
+"""Tracers: span factories, and the scope that installs one for a run.
 
-The default tracer is a :class:`NoopTracer`, so instrumented hot paths in
-the simulator cost nothing beyond a method call and never perturb
-benchmark output.  Enable collection with::
+An environment built outside every tracer scope binds the
+:class:`NoopTracer`, so instrumented hot paths in the simulator cost
+nothing beyond a method call and never perturb benchmark output.
+Collect spans by building the run inside :func:`use_tracer`::
 
     from repro import obs
 
-    tracer = obs.enable_tracing()     # installs a recording Tracer
-    ... run a simulation ...
+    with obs.use_tracer(obs.Tracer()) as tracer:
+        ... build and run a simulation ...
     obs.dump_jsonl("run.jsonl", tracer=tracer)
 
 Span ids are small deterministic counters (``t3``/``s17``), so traces are
@@ -24,6 +25,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.sampling import Sampler
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
+from repro.sim.context import scope
 
 ParentLike = Union[Span, SpanContext, Dict[str, str], None]
 
@@ -251,58 +253,13 @@ class NoopTracer:
         return "<NoopTracer>"
 
 
-#: The shared disabled tracer (the process default).
+#: The shared disabled tracer (the default of every run context).
 NOOP_TRACER = NoopTracer()
 
-_tracer: Union[Tracer, NoopTracer] = NOOP_TRACER
-
-
-def get_tracer() -> Union[Tracer, NoopTracer]:
-    """The process-wide tracer consulted by instrumentation sites."""
-    return _tracer
-
-
-def set_tracer(tracer: Optional[Union[Tracer, NoopTracer]]
-               ) -> Union[Tracer, NoopTracer]:
-    """Install ``tracer`` (``None`` disables); returns the previous one."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer if tracer is not None else NOOP_TRACER
-    return previous
-
-
-def enable_tracing(sampler: Optional[Sampler] = None,
-                   max_spans: Optional[int] = None,
-                   tail_keep_errors: bool = False,
-                   tail_buffer: Optional[int] = None) -> Tracer:
-    """Install and return a fresh recording tracer.
-
-    ``sampler`` turns on head-based trace sampling; ``max_spans`` bounds
-    retention with a ring buffer; ``tail_keep_errors`` additionally
-    rescues head-sampled-out traces that turn out to contain an error
-    or drop span (resolve with :meth:`Tracer.tail_flush`;
-    ``tail_buffer`` bounds the holding area).  See :class:`Tracer`.
-    """
-    tracer = Tracer(sampler=sampler, max_spans=max_spans,
-                    tail_keep_errors=tail_keep_errors,
-                    tail_buffer=tail_buffer)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    """Restore the zero-cost no-op default."""
-    set_tracer(NOOP_TRACER)
-
-
-@contextlib.contextmanager
 def use_tracer(tracer: Union[Tracer, NoopTracer]):
-    """Scope ``tracer`` as the process default, restoring on exit."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
+    """Scope ``tracer``: environments built inside the ``with`` bind it
+    as ``env.ctx.tracer`` (see :mod:`repro.sim.context`)."""
+    return scope("tracer", tracer)
 
 
 def _as_context(parent: ParentLike) -> Optional[SpanContext]:

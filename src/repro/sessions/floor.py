@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.hb import get_sanitizer
 from repro.errors import FloorControlError
 from repro.sim import Counter, Environment, Event, Tally
 
@@ -54,7 +53,7 @@ class FloorPolicy:
         self._held_since = self.env.now
         # Floor possession orders turns: the new holder is causally
         # after everything previous holders did with the floor.
-        get_sanitizer().acquire("floor:" + self.name, member)
+        self.env.ctx.sanitizer.acquire("floor:" + self.name, member)
         self.counters.incr("grants")
         self.wait_time.record(self.env.now - requested_at)
         self.turns.append((member, self.env.now))
@@ -65,7 +64,7 @@ class FloorPolicy:
             raise FloorControlError(
                 "{} does not hold the floor".format(member))
         self.hold_time.record(self.env.now - self._held_since)
-        get_sanitizer().release("floor:" + self.name, member)
+        self.env.ctx.sanitizer.release("floor:" + self.name, member)
         self.holder = None
 
     def turn_counts(self) -> Dict[str, int]:
@@ -187,7 +186,7 @@ class RoundRobinFloor(FloorPolicy):
             return  # nobody waiting: let the holder continue
         self.counters.incr("preemptions")
         self.hold_time.record(self.env.now - self._held_since)
-        get_sanitizer().release("floor:" + self.name, member)
+        self.env.ctx.sanitizer.release("floor:" + self.name, member)
         self.holder = None
         if self.on_preempt is not None:
             self.on_preempt(member)
@@ -285,7 +284,7 @@ class NegotiatedFloor(FloorPolicy):
         if self.holder == holder and self.yields(holder, member):
             self.counters.incr("yields")
             self.hold_time.record(self.env.now - self._held_since)
-            get_sanitizer().release("floor:" + self.name, holder)
+            self.env.ctx.sanitizer.release("floor:" + self.name, holder)
             self.holder = None
             self._grant(member, event, requested_at)
         else:

@@ -18,6 +18,7 @@ from bisect import insort
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.sim.context import current
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -112,21 +113,17 @@ class Environment:
         self._window_anchor = 0.0
         self._window_index = 0
         self._window_next = Infinity
-        # Flight recorder (repro.obs.flight): bound once at construction
-        # from the process-wide default — install one with use_flight()
-        # *before* creating the environment.  The import is lazy (like
-        # process()'s tracer lookup) so the kernel never pulls repro.obs
-        # onto its import path; flight.py itself is stdlib-only.  With
-        # no recorder both attributes are None and the run loop pays one
-        # identity check per event, mirroring the window hook.
-        from repro.obs.flight import get_flight
-        flight = get_flight()
-        if flight.enabled:
-            self._flight: Optional[Any] = flight
-            self._flight_dispatch: Optional[Any] = flight.on_dispatch
-        else:
-            self._flight = None
-            self._flight_dispatch = None
+        #: The instruments this run reports to (see repro.sim.context):
+        #: whatever the enclosing use_* scopes installed when the
+        #: environment was built, else the no-op defaults and a fresh
+        #: metrics registry of its own.
+        self.ctx = current()
+        # The flight recorder's dispatch hook, hoisted for the run loop:
+        # with no recorder it is None and the loop pays one identity
+        # check per event, mirroring the window hook.
+        flight = self.ctx.flight
+        self._flight_dispatch: Optional[Any] = \
+            flight.on_dispatch if flight.enabled else None
 
     @property
     def now(self) -> float:
@@ -191,16 +188,15 @@ class Environment:
         """
         process = Process(self, generator)
         if name is not None:
-            from repro.obs.tracer import get_tracer
-            tracer = get_tracer()
+            tracer = self.ctx.tracer
             if tracer.enabled:
                 span = tracer.start_span("actor.run", at=self._now,
                                          actor=name)
                 process.span = span
                 process.callbacks.append(
                     lambda _event: span.finish(at=self._now))
-            flight = self._flight
-            if flight is not None and flight.journal_actors:
+            flight = self.ctx.flight
+            if flight.journal_actors:
                 flight.record_spawn(name)
                 process.callbacks.append(
                     lambda event: flight.record_exit(name, event._ok))

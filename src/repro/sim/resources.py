@@ -18,13 +18,6 @@ from repro.sim.events import Event
 from repro.sim.environment import Environment, _NORMAL_BASE
 
 
-def _metrics():
-    # Imported lazily: repro.obs.metrics itself imports repro.sim, so a
-    # module-level import here would close a package-import cycle.
-    from repro.obs.metrics import get_metrics
-    return get_metrics()
-
-
 class Request(Event):
     """A pending claim on a :class:`Resource`; fires when granted.
 
@@ -123,7 +116,7 @@ class Resource:
         env = self.env
         request.usage_since = env._now
         if self.name is not None:
-            _metrics().histogram("resource.wait", resource=self.name) \
+            env.ctx.metrics.histogram("resource.wait", resource=self.name) \
                 .record(env._now - request.requested_at)
         # request.succeed(request) inlined (one grant per packet hop);
         # a double trigger still raises, via schedule-time state instead.
@@ -159,8 +152,8 @@ class Resource:
 
     def _sample_queue(self) -> None:
         if self.name is not None:
-            _metrics().gauge("resource.queue_depth",
-                             resource=self.name) \
+            self.env.ctx.metrics.gauge("resource.queue_depth",
+                                       resource=self.name) \
                 .set(len(self.queue), at=self.env.now)
 
 
@@ -204,8 +197,8 @@ class PriorityRequest(Request):
             resource.users.append(self)
             self.usage_since = env._now
             if resource.name is not None:
-                _metrics().histogram("resource.wait",
-                                     resource=resource.name).record(0.0)
+                env.ctx.metrics.histogram(
+                    "resource.wait", resource=resource.name).record(0.0)
             self._ok = True
             self._value = self
             if grant_delay:
@@ -377,7 +370,8 @@ class Store:
                 self.items.remove(item)
                 self._getters.remove(getter)
                 if self.name is not None:
-                    _metrics().histogram("store.wait", store=self.name) \
+                    env.ctx.metrics.histogram("store.wait",
+                                              store=self.name) \
                         .record(env._now - getter.requested_at)
                 getter._ok = True
                 getter._value = item
@@ -385,7 +379,7 @@ class Store:
                 env._push(env._now, _NORMAL_BASE + env._eid, getter)
                 progressed = True
         if self.name is not None:
-            _metrics().gauge("store.depth", store=self.name) \
+            self.env.ctx.metrics.gauge("store.depth", store=self.name) \
                 .set(len(self.items), at=self.env.now)
 
     def _find(self, getter: StoreGet) -> Any:

@@ -11,6 +11,8 @@ import hashlib
 import random
 from typing import Dict, Iterator, List, Sequence, TypeVar
 
+from repro.sim.context import current
+
 T = TypeVar("T")
 
 
@@ -52,18 +54,16 @@ class RandomStreams:
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically.
 
-        While a flight recorder is enabled (:mod:`repro.obs.flight`,
-        imported lazily to keep it off the kernel's import path), new
-        streams journal every draw; seeding and the draw sequence are
-        unchanged either way.
+        While a :func:`~repro.obs.flight.use_flight` scope installs a
+        recorder, new streams journal every draw; seeding and the draw
+        sequence are unchanged either way.
         """
         if name not in self._streams:
             digest = hashlib.sha256(
                 "{}:{}".format(self.seed, name).encode()).digest()
             seed = int.from_bytes(digest[:8], "big")
-            from repro.obs.flight import get_flight
-            flight = get_flight()
-            if flight.enabled and flight.journal_rng:
+            flight = current().flight
+            if flight.journal_rng:
                 self._streams[name] = _JournalledRandom(seed, flight, name)
             else:
                 self._streams[name] = random.Random(seed)

@@ -7,13 +7,9 @@ from repro.analysis.hb import (
     NoopSanitizer,
     READ_WRITE,
     WRITE_WRITE,
-    disable_sanitizer,
-    enable_sanitizer,
-    extract_clock,
-    get_sanitizer,
-    inject_clock,
     use_sanitizer,
 )
+from repro.sim import Environment
 
 
 def test_concurrent_writes_conflict():
@@ -103,44 +99,35 @@ def test_summary_shape():
                      [2.0, "bob", "write", "doc/s"]]
 
 
-# -- global accessor / header plumbing --------------------------------------
+# -- run-context binding / header plumbing -----------------------------------
 
 def test_default_is_noop():
-    assert get_sanitizer() is NOOP_SANITIZER
-    assert not get_sanitizer().enabled
-
-
-def test_enable_disable_roundtrip():
-    sanitizer = enable_sanitizer()
-    try:
-        assert get_sanitizer() is sanitizer
-        assert sanitizer.enabled
-    finally:
-        disable_sanitizer()
-    assert get_sanitizer() is NOOP_SANITIZER
+    sanitizer = Environment().ctx.sanitizer
+    assert sanitizer is NOOP_SANITIZER
+    assert not sanitizer.enabled
 
 
 def test_use_sanitizer_restores_previous():
     with use_sanitizer(ConflictSanitizer()) as sanitizer:
-        assert get_sanitizer() is sanitizer
-    assert get_sanitizer() is NOOP_SANITIZER
+        assert Environment().ctx.sanitizer is sanitizer
+    assert Environment().ctx.sanitizer is NOOP_SANITIZER
 
 
 def test_inject_extract_roundtrip_orders_actors():
-    with use_sanitizer(ConflictSanitizer()) as sanitizer:
-        sanitizer.on_write("doc/s", "ann", at=1.0)
-        headers = inject_clock({"type": "request"}, "ann")
-        assert HB_HEADER in headers
-        extract_clock(headers, "bob")
-        sanitizer.on_write("doc/s", "bob", at=2.0)
-        assert sanitizer.conflict_counts()["total"] == 0
+    sanitizer = ConflictSanitizer()
+    sanitizer.on_write("doc/s", "ann", at=1.0)
+    headers = sanitizer.inject_clock({"type": "request"}, "ann")
+    assert HB_HEADER in headers
+    sanitizer.extract_clock(headers, "bob")
+    sanitizer.on_write("doc/s", "bob", at=2.0)
+    assert sanitizer.conflict_counts()["total"] == 0
 
 
 def test_inject_is_identity_when_disabled():
     headers = {"type": "request"}
-    assert inject_clock(headers, "ann") is headers
+    assert NOOP_SANITIZER.inject_clock(headers, "ann") is headers
     assert HB_HEADER not in headers
-    extract_clock({HB_HEADER: {"ann": 3}}, "bob")  # swallowed, no-op
+    NOOP_SANITIZER.extract_clock({HB_HEADER: {"ann": 3}}, "bob")  # no-op
 
 
 def test_noop_records_nothing():

@@ -108,6 +108,13 @@ def test_repo_source_is_lint_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
+def test_run_context_slot_is_the_only_ambient_singleton():
+    rebinds = [f for f in lint_paths([REPO_SRC], respect_suppressions=False)
+               if f.code == "RPR005" and "through global" in f.message]
+    assert [os.path.relpath(f.path, REPO_SRC) for f in rebinds] \
+        == [os.path.join("sim", "context.py")]
+
+
 # -- CLI -------------------------------------------------------------------
 
 def test_cli_nonzero_with_codes_on_fixtures(capsys):

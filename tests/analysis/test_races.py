@@ -11,9 +11,10 @@ import io
 import json
 
 from repro.analysis import races
-from repro.analysis.hb import get_sanitizer
+from repro.analysis.hb import NOOP_SANITIZER
 from repro.analysis.races import conflict_sweep, main, render
 from repro.concurrency.locks import HARD, NOTIFICATION, SOFT, TICKLE
+from repro.sim import Environment
 
 
 def test_sweep_matches_the_lock_style_semantics():
@@ -43,9 +44,8 @@ def test_tickle_resolves_idlers_by_takeover():
 
 
 def test_sweep_isolates_the_global_sanitizer():
-    before = get_sanitizer()
     conflict_sweep(seed=31, styles=[HARD])
-    assert get_sanitizer() is before
+    assert Environment().ctx.sanitizer is NOOP_SANITIZER
 
 
 def test_sweep_attaches_sanitizer_summary():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.analysis.hb import NOOP_SANITIZER, get_sanitizer
+from repro.analysis.hb import NOOP_SANITIZER
 from repro.analysis.replay import (
     main,
     replay,
@@ -13,7 +13,8 @@ from repro.analysis.replay import (
     trace_digest,
 )
 from repro.analysis.workloads import WORKLOADS, run_workload
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.sim import Environment
 
 
 def test_replay_locks_hard_is_deterministic():
@@ -40,10 +41,11 @@ def test_trace_digest_is_canonical():
 
 
 def test_run_isolated_restores_globals():
-    metrics_before = get_metrics()
-    run_isolated("locks-hard", seed=31)
-    assert get_sanitizer() is NOOP_SANITIZER
-    assert get_metrics() is metrics_before
+    with use_metrics(MetricsRegistry()) as metrics_before:
+        run_isolated("locks-hard", seed=31)
+        ctx = Environment().ctx
+    assert ctx.sanitizer is NOOP_SANITIZER
+    assert ctx.metrics is metrics_before
 
 
 def test_run_isolated_records_the_access_trace():

@@ -4,18 +4,11 @@ import pytest
 
 from repro.faults.degrade import DEGRADED, FULL_SERVICE, DegradationManager
 from repro.net import Network, lan
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.qos.broker import QoSBroker
 from repro.qos.params import QoSParameters
 from repro.sessions.floor import FcfsFloor
 from repro.sessions.session import ASYNCHRONOUS, SYNCHRONOUS, Session
 from repro.sim import Environment
-
-
-@pytest.fixture(autouse=True)
-def _scoped_metrics():
-    with use_metrics(MetricsRegistry()):
-        yield
 
 
 @pytest.fixture
@@ -128,14 +121,14 @@ def test_slo_alert_callback_shape(env):
 
 
 def test_degradation_metrics(env):
-    with use_metrics(MetricsRegistry()) as metrics:
-        manager = DegradationManager(env)
-        manager.degrade("r")
-        manager.recover("r")
-        manager.on_suspect("m")
-        assert metrics.counter_total("degrade.entered") == 2
-        assert metrics.counter_total("degrade.recovered") == 1
-        assert metrics.counter_total("degrade.suspicions") == 1
+    metrics = env.ctx.metrics
+    manager = DegradationManager(env)
+    manager.degrade("r")
+    manager.recover("r")
+    manager.on_suspect("m")
+    assert metrics.counter_total("degrade.entered") == 2
+    assert metrics.counter_total("degrade.recovered") == 1
+    assert metrics.counter_total("degrade.suspicions") == 1
 
 
 def test_watch_adds_contract(env):

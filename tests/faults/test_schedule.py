@@ -15,14 +15,6 @@ def env():
     return Environment()
 
 
-@pytest.fixture(autouse=True)
-def _scoped_metrics():
-    # Each test gets a private registry: the injector's links_down gauge
-    # is timestamped in sim time, which restarts at 0 per Environment.
-    with use_metrics(MetricsRegistry()):
-        yield
-
-
 def triangle(env, seed=5):
     streams = RandomStreams(seed)
     topo = Topology(env)
@@ -186,13 +178,14 @@ def test_loss_burst_actually_drops(env):
     assert net.drop_stats().get("loss", 0) == 0
 
 
-def test_injector_log_spans_and_metrics(env):
-    net = triangle(env)
+def test_injector_log_spans_and_metrics():
     schedule = FaultSchedule()
     schedule.link_down(1.0, "a", "b", up_at=2.0)
     seen = []
     with use_tracer(Tracer()) as tracer, \
             use_metrics(MetricsRegistry()) as metrics:
+        env = Environment()
+        net = triangle(env)
         injector = FaultInjector(env, net, schedule)
         injector.add_listener(lambda event: seen.append(event.kind))
         env.run(until=3.0)
@@ -223,9 +216,8 @@ def test_injection_is_deterministic():
         schedule = FaultSchedule()
         schedule.link_flap(1.0, "a", "c", count=3, period=2.0)
         schedule.loss_burst(4.0, extra_loss=0.5, duration=3.0)
-        with use_metrics(MetricsRegistry()):
-            injector = FaultInjector(env, net, schedule)
-            env.run(until=12.0)
+        injector = FaultInjector(env, net, schedule)
+        env.run(until=12.0)
         return injector.log, count[0], env.stats()
 
     assert run() == run()
@@ -334,10 +326,9 @@ def test_empty_schedule_is_balanced():
 # -- the ambient schedule override -------------------------------------------
 
 
-def test_schedule_override_swaps_injected_schedule(env):
+def test_schedule_override_swaps_injected_schedule():
     from repro.faults.schedule import use_schedule_override
 
-    net = triangle(env)
     original = FaultSchedule()
     original.link_down(1.0, "a", "b", up_at=2.0)
     swapped = FaultSchedule()
@@ -350,11 +341,14 @@ def test_schedule_override_swaps_injected_schedule(env):
         return swapped
 
     with use_schedule_override(factory):
-        injector = FaultInjector(env, net, original)
+        env = Environment()
+    net = triangle(env)
+    injector = FaultInjector(env, net, original)
     assert injector.schedule is swapped
     assert seen["network"] is net
     assert seen["schedule"] is original
 
-    # Outside the scope the override is gone.
-    later = FaultInjector(env, net, original)
+    # An environment built outside the scope has no override.
+    other = Environment()
+    later = FaultInjector(other, triangle(other), original)
     assert later.schedule is original

@@ -11,19 +11,11 @@ from it, on a tree where both carries were proven to produce them.
 import hashlib
 import json
 
-import pytest
-
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.network import Network
 from repro.net.topology import lan, line, wan
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment
-
-
-@pytest.fixture(autouse=True)
-def fresh_metrics():
-    with use_metrics(MetricsRegistry()):
-        yield
 
 
 def _fingerprint(value):

@@ -106,9 +106,10 @@ def test_rpc_inflight_resolves_on_reply_and_timeout(env):
     assert caller.inflight() == 0
 
 
-def test_inflight_gauges_recorded_in_scoped_registry(env):
+def test_inflight_gauges_recorded_in_scoped_registry():
     registry = MetricsRegistry()
     with use_metrics(registry):
+        env = Environment()
         net, a, b = make_net(env)
         sender = ReliableChannel(a)
         ReliableChannel(b)
@@ -126,16 +127,3 @@ def test_inflight_gauges_recorded_in_scoped_registry(env):
     assert gauges.get("chan.inflight{node=a}") == 0.0
     assert gauges.get("rpc.inflight{node=a}") == 0.0
 
-
-def test_gauge_set_tolerates_time_rewind():
-    # The process-default registry outlives environments; a fresh env's
-    # t=0 sample must be dropped, not raise "time went backwards".
-    from repro.net.transport import _gauge_set
-
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        _gauge_set("chan.inflight", "x", 1, 5.0)
-        _gauge_set("chan.inflight", "x", 2, 1.0)  # stale: ignored
-        _gauge_set("chan.inflight", "x", 3, 6.0)
-    series = registry.gauge("chan.inflight", node="x").series
-    assert [(t, v) for t, v in series.samples] == [(5.0, 1), (6.0, 3)]

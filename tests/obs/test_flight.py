@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.replay import run_isolated, trace_digest
+from repro.analysis.workloads import WORKLOADS
 from repro.obs.flight import (
     NOOP_FLIGHT,
     BlackBox,
@@ -14,6 +15,7 @@ from repro.obs.flight import (
     canonical,
     use_flight,
 )
+from repro.sim import Environment
 
 
 def _feed(recorder, dispatches, rng_every=None):
@@ -184,8 +186,7 @@ def test_keep_epochs_restricts_ring_and_fills_context():
 # -- journaling a real workload --------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["locks-hard", "flaky-links",
-                                  "traced-rpc"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_recorder_never_perturbs_workload(name):
     baseline = trace_digest(run_isolated(name, 31))
     recorder = FlightRecorder(epoch_events=64)
@@ -367,7 +368,7 @@ def test_black_box_validation():
 
 
 def test_noop_flight_is_inert_default():
-    assert obs.get_flight() is NOOP_FLIGHT
+    assert Environment().ctx.flight is NOOP_FLIGHT
     assert not NOOP_FLIGHT.enabled
     NOOP_FLIGHT.on_dispatch(0.0, 0, 0)
     NOOP_FLIGHT.record_rng("s", "random", 0.5)
@@ -379,8 +380,8 @@ def test_noop_flight_is_inert_default():
 def test_use_flight_scopes_and_restores():
     recorder = FlightRecorder()
     with use_flight(recorder):
-        assert obs.get_flight() is recorder
-    assert obs.get_flight() is NOOP_FLIGHT
+        assert Environment().ctx.flight is recorder
+    assert Environment().ctx.flight is NOOP_FLIGHT
 
 
 # -- journal byte-compatibility with the binary heap ----------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -81,13 +82,15 @@ def test_reset(registry):
 
 
 def test_use_metrics_scopes_the_default():
-    outer = obs.get_metrics()
     scoped = MetricsRegistry()
     with obs.use_metrics(scoped):
-        assert obs.get_metrics() is scoped
-        obs.get_metrics().counter("in.scope").add()
-    assert obs.get_metrics() is outer
+        env = Environment()
+        assert env.ctx.metrics is scoped
+        env.ctx.metrics.counter("in.scope").add()
+    outer = Environment().ctx.metrics
+    assert outer is not scoped
     assert scoped.counter("in.scope").value == 1
+    assert outer.counter("in.scope").value == 0
 
 
 def test_bound_instruments_are_the_keyed_instruments(registry):
@@ -103,30 +106,17 @@ def test_bound_instruments_are_the_keyed_instruments(registry):
     assert gauge is registry.gauge("depth", node="n1")
 
 
-def test_bound_counter_cache_binds_once_per_label_value():
+def test_bound_counter_cache_binds_once_per_label_value(registry):
     from repro.obs.metrics import BoundCounterCache
-    with obs.use_metrics(MetricsRegistry()) as registry:
-        cache = BoundCounterCache("chan.retries", "dst", node="n1")
-        first = cache.get("n2")
-        assert cache.get("n2") is first
-        first.add()
-        cache.get("n3").add(2)
-        assert registry.counter("chan.retries", node="n1",
-                                dst="n2").value == 1
-        assert registry.counter("chan.retries", node="n1",
-                                dst="n3").value == 2
-
-
-def test_bound_counter_cache_rebinds_on_registry_swap():
-    from repro.obs.metrics import BoundCounterCache
-    cache = BoundCounterCache("c", "k")
-    with obs.use_metrics(MetricsRegistry()) as first:
-        cache.get("v").add()
-    with obs.use_metrics(MetricsRegistry()) as second:
-        cache.get("v").add()
-        cache.get("v").add()
-    assert first.counter("c", k="v").value == 1
-    assert second.counter("c", k="v").value == 2
+    cache = BoundCounterCache(registry, "chan.retries", "dst", node="n1")
+    first = cache.get("n2")
+    assert cache.get("n2") is first
+    first.add()
+    cache.get("n3").add(2)
+    assert registry.counter("chan.retries", node="n1",
+                            dst="n2").value == 1
+    assert registry.counter("chan.retries", node="n1",
+                            dst="n3").value == 2
 
 
 def test_null_registry_instruments_are_shared_noops():

@@ -158,9 +158,8 @@ class TestQoSIntegration:
 
     def test_qos_slo_burns_on_contract_violations(self):
         env = Environment()
-        registry = MetricsRegistry()
+        registry = env.ctx.metrics
         from repro.net import Network, dumbbell
-        from repro.obs.metrics import use_metrics
         topo = dumbbell(env, left=1, right=1,
                         bottleneck_bandwidth=1e6,
                         bottleneck_latency=0.01)
@@ -179,8 +178,7 @@ class TestQoSIntegration:
             env, [objective], registry=registry, interval=1.0,
             windows=((4.0, 1.0, 1.5, "page"),), until=10.0)
         # No frames are ever delivered: every window violates.
-        with use_metrics(registry):
-            env.run(until=10.0)
+        env.run(until=10.0)
         contract.close()
         assert windows and all(windows)
         assert any(e["event"] == "fired" for e in slo_monitor.events)

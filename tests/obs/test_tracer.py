@@ -11,16 +11,17 @@ from repro.sim import Environment
 
 
 @pytest.fixture
-def env():
-    return Environment()
-
-
-@pytest.fixture
 def tracer():
     """A fresh recording tracer installed for the duration of the test."""
     with obs.use_tracer(obs.Tracer()) as tracer:
         with obs.use_metrics(obs.MetricsRegistry()):
             yield tracer
+
+
+@pytest.fixture
+def env(tracer):
+    """An environment built inside the tracer's scope, so it binds it."""
+    return Environment()
 
 
 def make_wan_runtime(env):
@@ -122,13 +123,14 @@ def test_context_survives_packet_transit(env, tracer):
     assert transmit.parent_id == parent.span_id
 
 
-def test_disabled_tracer_records_nothing(env):
-    assert isinstance(obs.get_tracer(), obs.NoopTracer)
+def test_disabled_tracer_records_nothing():
+    env = Environment()
+    assert isinstance(env.ctx.tracer, obs.NoopTracer)
     runtime = make_wan_runtime(env)
     invoke_remotely(env, runtime)
-    assert len(obs.get_tracer()) == 0
-    assert obs.get_tracer().finished_spans() == []
-    span = obs.get_tracer().start_span("anything", at=env.now)
+    assert len(env.ctx.tracer) == 0
+    assert env.ctx.tracer.finished_spans() == []
+    span = env.ctx.tracer.start_span("anything", at=env.now)
     assert span is obs.NOOP_SPAN
     assert not span.is_recording
 
@@ -154,13 +156,15 @@ def test_chrome_trace_round_trips_through_json(env, tracer, tmp_path):
     assert "site0.host0" in names and "site1.host0" in names
 
 
-def test_tracer_context_manager_and_scoping(env):
+def test_tracer_context_manager_and_scoping():
     tracer = obs.Tracer()
     with obs.use_tracer(tracer):
+        env = Environment()
         with tracer.span("outer", env, node="x") as outer:
             with tracer.span("inner", env, parent=outer) as inner:
                 pass
-    assert obs.get_tracer() is obs.NOOP_TRACER
+    assert env.ctx.tracer is tracer
+    assert Environment().ctx.tracer is obs.NOOP_TRACER
     assert inner.parent_id == outer.span_id
     assert inner.trace_id == outer.trace_id
     assert outer.end is not None and inner.end is not None

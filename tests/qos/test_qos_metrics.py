@@ -1,6 +1,5 @@
 """Tests for QoS monitor observations landing in the metrics registry."""
 
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.sim import Environment
 
@@ -13,19 +12,18 @@ def contract(latency=float("inf")):
 
 def test_healthy_windows_count_and_record_distributions():
     env = Environment()
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        monitor = QoSMonitor(env, contract(), window=1.0)
+    registry = env.ctx.metrics
+    monitor = QoSMonitor(env, contract(), window=1.0)
 
-        def feed(env):
-            # Frames land in the first two windows; the third is empty.
-            yield env.timeout(0.5)
-            monitor.record_frame(env.now - 0.01, env.now, size=100)
-            yield env.timeout(0.7)
-            monitor.record_frame(env.now - 0.01, env.now, size=100)
+    def feed(env):
+        # Frames land in the first two windows; the third is empty.
+        yield env.timeout(0.5)
+        monitor.record_frame(env.now - 0.01, env.now, size=100)
+        yield env.timeout(0.7)
+        monitor.record_frame(env.now - 0.01, env.now, size=100)
 
-        env.process(feed(env))
-        env.run(until=3.5)
+    env.process(feed(env))
+    env.run(until=3.5)
 
     counters = registry.counters("qos.windows_ok")
     assert counters == {"qos.windows_ok{flow=src-node->dst-node}": 3}
@@ -41,16 +39,15 @@ def test_healthy_windows_count_and_record_distributions():
 
 def test_violating_window_counts_a_violation():
     env = Environment()
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        monitor = QoSMonitor(env, contract(latency=0.001), window=1.0)
+    registry = env.ctx.metrics
+    monitor = QoSMonitor(env, contract(latency=0.001), window=1.0)
 
-        def feed(env):
-            yield env.timeout(0.5)
-            monitor.record_frame(env.now - 0.5, env.now, size=100)
+    def feed(env):
+        yield env.timeout(0.5)
+        monitor.record_frame(env.now - 0.5, env.now, size=100)
 
-        env.process(feed(env))
-        env.run(until=2.0)
+    env.process(feed(env))
+    env.run(until=2.0)
 
     assert registry.counters("qos.violations") == {
         "qos.violations{flow=src-node->dst-node}": 1}
@@ -58,10 +55,9 @@ def test_violating_window_counts_a_violation():
 
 def test_empty_windows_do_not_poison_latency_histogram():
     env = Environment()
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        QoSMonitor(env, contract(), window=1.0)
-        env.run(until=3.5)
+    registry = env.ctx.metrics
+    QoSMonitor(env, contract(), window=1.0)
+    env.run(until=3.5)
 
     snapshot = registry.snapshot()
     assert "qos.latency{flow=src-node->dst-node}" \

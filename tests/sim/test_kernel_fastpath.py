@@ -89,16 +89,15 @@ def test_priority_request_grant_fast_path_matches_queued_path(env):
 
 
 def test_named_resource_wait_histogram_covers_fast_path(env):
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-    with use_metrics(MetricsRegistry()) as metrics:
-        resource = Resource(env, capacity=1, name="disk")
-        resource.request()
-        channel = PriorityResource(env, capacity=1, name="lane")
-        channel.request(priority=0)
-        env.run()
-        # Both grant paths (generic and inlined) record a zero wait.
-        assert metrics.histogram("resource.wait", resource="disk").count == 1
-        assert metrics.histogram("resource.wait", resource="lane").count == 1
+    metrics = env.ctx.metrics
+    resource = Resource(env, capacity=1, name="disk")
+    resource.request()
+    channel = PriorityResource(env, capacity=1, name="lane")
+    channel.request(priority=0)
+    env.run()
+    # Both grant paths (generic and inlined) record a zero wait.
+    assert metrics.histogram("resource.wait", resource="disk").count == 1
+    assert metrics.histogram("resource.wait", resource="lane").count == 1
 
 
 def test_release_of_queued_request_still_withdraws(env):

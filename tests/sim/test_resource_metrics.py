@@ -1,6 +1,5 @@
 """Tests for resource/store observability hooks and per-instance tickets."""
 
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment, PriorityResource, Resource, Store
 
 
@@ -11,7 +10,7 @@ def drive(env, steps):
 
 def test_named_resource_records_queue_depth_and_wait():
     env = Environment()
-    registry = MetricsRegistry()
+    registry = env.ctx.metrics
     resource = Resource(env, capacity=1, name="cpu")
 
     def worker(env):
@@ -19,10 +18,9 @@ def test_named_resource_records_queue_depth_and_wait():
             yield claim
             yield env.timeout(2.0)
 
-    with use_metrics(registry):
-        env.process(worker(env))
-        env.process(worker(env))
-        env.run()
+    env.process(worker(env))
+    env.process(worker(env))
+    env.run()
 
     snapshot = registry.snapshot()
     wait = snapshot["histograms"]["resource.wait{resource=cpu}"]
@@ -36,7 +34,7 @@ def test_named_resource_records_queue_depth_and_wait():
 
 def test_unnamed_resource_records_nothing():
     env = Environment()
-    registry = MetricsRegistry()
+    registry = env.ctx.metrics
     resource = Resource(env, capacity=1)
 
     def worker(env):
@@ -44,10 +42,9 @@ def test_unnamed_resource_records_nothing():
             yield claim
             yield env.timeout(1.0)
 
-    with use_metrics(registry):
-        env.process(worker(env))
-        env.process(worker(env))
-        env.run()
+    env.process(worker(env))
+    env.process(worker(env))
+    env.run()
 
     snapshot = registry.snapshot()
     assert snapshot["histograms"] == {}
@@ -56,7 +53,7 @@ def test_unnamed_resource_records_nothing():
 
 def test_named_store_records_depth_and_get_wait():
     env = Environment()
-    registry = MetricsRegistry()
+    registry = env.ctx.metrics
     store = Store(env, name="inbox")
 
     def consumer(env):
@@ -66,10 +63,9 @@ def test_named_store_records_depth_and_get_wait():
         yield env.timeout(3.0)
         yield store.put("message")
 
-    with use_metrics(registry):
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
+    env.process(consumer(env))
+    env.process(producer(env))
+    env.run()
 
     snapshot = registry.snapshot()
     wait = snapshot["histograms"]["store.wait{store=inbox}"]
@@ -92,7 +88,7 @@ def test_priority_tickets_are_per_instance():
 
 def test_priority_order_still_respected_with_metrics():
     env = Environment()
-    registry = MetricsRegistry()
+    registry = env.ctx.metrics
     resource = PriorityResource(env, capacity=1, name="link")
     order = []
 
@@ -103,16 +99,15 @@ def test_priority_order_still_respected_with_metrics():
         yield env.timeout(1.0)
         resource.release(claim)
 
-    with use_metrics(registry):
-        env.process(worker(env, "first", 5))
+    env.process(worker(env, "first", 5))
 
-        def late(env):
-            yield env.timeout(0.1)
-            env.process(worker(env, "urgent", 0))
-            env.process(worker(env, "relaxed", 9))
+    def late(env):
+        yield env.timeout(0.1)
+        env.process(worker(env, "urgent", 0))
+        env.process(worker(env, "relaxed", 9))
 
-        env.process(late(env))
-        env.run()
+    env.process(late(env))
+    env.run()
 
     assert order == ["first", "urgent", "relaxed"]
     wait = registry.snapshot()["histograms"]["resource.wait{resource=link}"]
