@@ -4,7 +4,7 @@ Builds the run inside a tracer scope, runs a client at one WAN site invoking an
 object hosted at another (with simulated think-time between calls), then
 exports the trace three ways:
 
-* a JSONL dump (spans + metrics) for ``python -m repro.obs.report``,
+* a JSONL dump (spans + metrics) for ``python -m repro.obs report``,
 * a Chrome ``trace_event`` file that opens in ``about:tracing``/Perfetto,
 * the report tables, printed directly.
 

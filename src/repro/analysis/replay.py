@@ -61,8 +61,9 @@ def _localize(name: str, seed: int, out) -> None:
 
     Two more runs under the flight recorder (imported lazily — the
     happy path never touches it) compare chained per-epoch digests of
-    kernel decisions; the divergence CLI can then re-journal just that
-    epoch and print the first mismatched record with causal context.
+    kernel decisions; ``python -m repro.obs diverge`` can then re-journal
+    just that epoch and print the first mismatched record with causal
+    context.
     """
     from repro.obs.divergence import compare_digests
 
@@ -71,7 +72,7 @@ def _localize(name: str, seed: int, out) -> None:
         out.write("first divergent flight epoch: {} (of {} / {})\n"
                   .format(report["epoch"], *report["epochs"]))
         out.write("localize it: PYTHONPATH=src python -m "
-                  "repro.obs.divergence {} --seed {}\n".format(name, seed))
+                  "repro.obs diverge {} --seed {}\n".format(name, seed))
     else:
         out.write("flight digests agree ({} epoch(s)): the divergence "
                   "is outside the journalled channels (dispatch/rng/"

@@ -9,7 +9,7 @@ appropriate mechanisms are in place to support and inform such policies."*
 which object when, and summarises access patterns over a sliding window.
 Samples are also routed through the observability
 :class:`~repro.obs.metrics.MetricsRegistry`, so placement policies, the
-benchmarks and ``python -m repro.obs.report`` all read one data source.
+benchmarks and ``python -m repro.obs report`` all read one data source.
 """
 
 from __future__ import annotations

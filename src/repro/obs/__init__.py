@@ -20,23 +20,23 @@ substrate.  This package provides it for every layer of the middleware:
   across nuclei, and ``max_spans`` bounds retention with a ring buffer.
 * **Profiling** — :class:`SpanProfile` turns span enter/exit into
   per-operation / per-node / per-actor simulated-time accounting and
-  folded flame-graph stacks; ``python -m repro.obs.profile`` runs it
-  over any registered workload.
+  folded flame-graph stacks; ``python -m repro.obs profile`` runs it
+  over any registered workload or dump.
 * **SLOs** — :mod:`repro.obs.slo` evaluates declarative objectives over
   the registry with multi-window burn rates and records alert events.
 * **Export** — :func:`dump_jsonl` (machine-readable) and
   :func:`dump_chrome_trace` (opens in ``about:tracing`` / Perfetto), plus
-  the ``python -m repro.obs.report`` CLI for latency/traffic tables.
+  ``python -m repro.obs report`` for latency/traffic tables.
 * **Timeline** — :class:`TimelineRecorder` snapshots instrument deltas
   at fixed sim-time windows (zero extra events, so replay digests are
   unaffected); :func:`dimension_table` rolls windows + spans into
   per-node/link/actor/op hot-spot tables with Zipf-skew coefficients;
-  :func:`critical_summary` extracts per-trace critical paths.  The
-  ``python -m repro.obs.dashboard`` CLI fronts all three.
+  :func:`critical_summary` extracts per-trace critical paths.
+  ``python -m repro.obs dashboard`` fronts all three.
 * **Flight recorder** — :class:`FlightRecorder` journals kernel-level
   decisions (dispatch, RNG draws, packet hops/drops, lock transitions,
   actor lifecycles) into a bounded ring with chained per-epoch digests;
-  ``python -m repro.obs.divergence`` binary-searches two runs' digests
+  ``python -m repro.obs diverge`` binary-searches two runs' digests
   to the first divergent epoch and prints the first mismatched record
   with causal context.  :class:`BlackBox` dumps the last flight
   records, metrics and open spans when a workload raises or an SLO

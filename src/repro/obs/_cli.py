@@ -1,14 +1,14 @@
-"""Shared plumbing for the observability CLIs (report/profile/dashboard).
+"""Shared rendering for the ``python -m repro.obs`` subcommands.
 
-One fixed-width table renderer and one dump loader, so every CLI clips,
-formats and complains about truncated dumps identically.  Kept private
-(underscore module): the public surfaces are the CLIs themselves.
+One fixed-width table renderer and one reading of a dump's meta record,
+so every table clips and formats identically.  Kept private
+(underscore module): the public surface is the command line itself.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 
 def fmt_cell(cell: Any) -> str:
@@ -48,32 +48,6 @@ def render_table(title: str, headers: Sequence[str],
     if clipped:
         out.write("... {} more row(s); raise --top to see them\n".format(
             clipped))
-
-
-def load_dump_records(path: str, err=None
-                      ) -> Optional[List[Dict[str, Any]]]:
-    """Load a JSONL dump for a CLI, or ``None`` when it is unusable.
-
-    Unreadable files and dumps with zero parseable records both print a
-    diagnostic to ``err`` (default stderr) and return ``None`` so the
-    caller can exit non-zero; a partially-truncated dump is read
-    tolerantly with a note about the skipped lines.
-    """
-    from repro.obs.export import load_jsonl_tolerant
-
-    err = err if err is not None else sys.stderr
-    try:
-        records, skipped = load_jsonl_tolerant(path)
-    except OSError as exc:
-        err.write("error: cannot read {}: {}\n".format(path, exc))
-        return None
-    if skipped:
-        err.write("note: skipped {} malformed JSONL line(s) (truncated "
-                  "dump?)\n".format(skipped))
-    if not records:
-        err.write("error: {} contains no parseable records\n".format(path))
-        return None
-    return records
 
 
 def extract_meta(records: Iterable[Dict[str, Any]]

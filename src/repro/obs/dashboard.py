@@ -1,61 +1,33 @@
-"""Dashboard CLI: timeline, hot-spot tables and critical paths, one view.
+"""Dashboard: timeline, hot-spot tables and critical paths, one view.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.dashboard run.jsonl
-    PYTHONPATH=src python -m repro.obs.dashboard \\
-        --workload timeline-demo --seed 31 \\
-        --tables node,op --critical-path
+    PYTHONPATH=src python -m repro.obs dashboard run.jsonl
+    PYTHONPATH=src python -m repro.obs dashboard timeline-demo \\
+        --seed 31 --tables node,op --critical-path
 
-Two input modes:
-
-* a **JSONL dump** (positional) mixing ``{"kind": "span"}``,
-  ``{"kind": "metric"}`` and ``{"kind": "window"}`` records — e.g. one
-  written by :func:`repro.obs.export.dump_jsonl` with a
-  ``timeline=`` recorder;
-* ``--workload NAME --seed S`` runs a registered workload under a
-  recording tracer and reads the timeline windows out of its result
-  (the ``timeline-demo`` workload returns them; workloads without
-  windows still get span-based tables and critical paths).
+The source is either a **JSONL dump** mixing ``{"kind": "span"}``,
+``{"kind": "metric"}`` and ``{"kind": "window"}`` records — e.g. one
+written by :func:`repro.obs.export.dump_jsonl` with a ``timeline=``
+recorder — or a registered workload, whose result carries its timeline
+windows (``timeline-demo`` returns them; workloads without windows
+still get span-based tables and critical paths).
 
 Output is deterministic end to end — sorted rows, deterministic span
-ids, sim-time windows — so same-seed invocations are byte-identical,
-which is what the CI dashboard-smoke job asserts.  ``--format json``
-emits the same content as one sorted-keys document.
+ids, sim-time windows — so same-seed invocations are byte-identical.
+``--format json`` emits the same content as one sorted-keys document.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs._cli import (
-    describe_meta,
-    extract_meta,
-    load_dump_records,
-    render_table,
-)
+from repro.obs._cli import describe_meta, render_table
 from repro.obs.critical import critical_summary, render_critical
-from repro.obs.tables import DIMENSIONS, all_tables, render_dimension_table
-from repro.obs.timeline import load_windows
+from repro.obs.tables import all_tables, render_dimension_table
 
 DEFAULT_TABLES = "node,link,actor,op"
-
-
-def _gather_workload(name: str, seed: int):
-    """Run a workload under a recording tracer; (windows, spans)."""
-    from repro.analysis.workloads import run_workload
-    from repro.obs.export import span_record
-    from repro.obs.tracer import Tracer, use_tracer
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        result = run_workload(name, seed=seed)
-    windows = result.get("windows") or []
-    spans = [span_record(span) for span in tracer.spans]
-    return windows, spans
 
 
 def dashboard_data(windows: List[Dict[str, Any]],
@@ -103,81 +75,3 @@ def render_dashboard(data: Dict[str, Any],
     if data["critical_path"] is not None:
         render_critical(data["critical_path"], out=out, top=top,
                         per_trace=per_trace)
-
-
-def main(argv: Sequence[str] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.dashboard",
-        description="Timeline, hot-spot and critical-path dashboard "
-                    "over a JSONL dump or a registered workload.")
-    parser.add_argument("dump", nargs="?", default=None,
-                        help="path to a dump_jsonl() file "
-                             "(may include window records)")
-    parser.add_argument("--workload", default=None, metavar="NAME",
-                        help="run this registered workload instead of "
-                             "reading a dump")
-    parser.add_argument("--seed", type=int, default=31,
-                        help="workload seed (default 31)")
-    parser.add_argument("--tables", default=DEFAULT_TABLES, metavar="DIMS",
-                        help="comma-separated dimensions to roll up "
-                             "(default {})".format(DEFAULT_TABLES))
-    parser.add_argument("--critical-path", action="store_true",
-                        dest="critical",
-                        help="aggregate span critical paths into a "
-                             "bottleneck table")
-    parser.add_argument("--per-trace", action="store_true",
-                        help="with --critical-path, also print each "
-                             "trace's own path")
-    parser.add_argument("--timeline", action="store_true",
-                        help="print the per-window activity table")
-    parser.add_argument("--top", type=int, default=None, metavar="N",
-                        help="show at most N rows per table")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", dest="fmt",
-                        help="text tables (default) or one JSON document")
-    options = parser.parse_args(argv)
-
-    if (options.dump is None) == (options.workload is None):
-        parser.error("exactly one of DUMP or --workload is required")
-    dims = [dim.strip() for dim in options.tables.split(",") if dim.strip()]
-    unknown = [dim for dim in dims if dim not in DIMENSIONS]
-    if unknown:
-        sys.stderr.write("error: unknown table dimension(s): {} "
-                         "(have: {})\n".format(
-                             ", ".join(unknown),
-                             ", ".join(sorted(DIMENSIONS))))
-        return 2
-
-    if options.workload is not None:
-        try:
-            windows, spans = _gather_workload(options.workload,
-                                              options.seed)
-        except KeyError as exc:
-            sys.stderr.write("error: {}\n".format(exc.args[0]))
-            return 2
-        meta = {"workload": options.workload, "seed": options.seed}
-    else:
-        records = load_dump_records(options.dump)
-        if records is None:
-            return 2
-        windows = load_windows(records)
-        spans = [r for r in records if r.get("kind") == "span"]
-        meta = extract_meta(records)
-
-    data = dashboard_data(windows, spans, dims, critical=options.critical,
-                          meta=meta)
-    try:
-        if options.fmt == "json":
-            print(json.dumps(data, sort_keys=True, indent=2))
-        else:
-            render_dashboard(data, windows, top=options.top,
-                             timeline=options.timeline,
-                             per_trace=options.per_trace)
-    except BrokenPipeError:
-        # Reader (e.g. ``| head``) closed the pipe early; not an error.
-        sys.stderr.close()
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

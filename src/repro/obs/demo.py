@@ -1,7 +1,7 @@
 """Replayable demonstration workloads for the telemetry stack.
 
 Two workloads, registered in :data:`repro.analysis.workloads.WORKLOADS`
-so the replay checker, the races CLI and ``python -m repro.obs.profile``
+so the replay checker, the races CLI and ``python -m repro.obs``
 all see them:
 
 * ``traced-rpc`` — three named clients at one WAN site invoking a shared

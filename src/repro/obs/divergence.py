@@ -1,9 +1,9 @@
 """Divergence localizer: find *where* two runs forked, not just that they did.
 
 ``python -m repro.analysis.replay`` proves or refutes determinism;
-this CLI turns a refutation into a location.  Two runs of a registered
-workload are journalled by the flight recorder
-(:mod:`repro.obs.flight`) into chained per-epoch digests; because
+``python -m repro.obs diverge`` turns a refutation into a location.
+Two runs of a registered workload are journalled by the flight
+recorder (:mod:`repro.obs.flight`) into chained per-epoch digests; because
 digest ``e`` covers the whole run prefix up to epoch ``e``, the first
 divergent epoch is found by binary search over the digest lists.  Both
 runs are then re-executed with full journaling *only* for that epoch
@@ -14,15 +14,15 @@ mismatch in each run.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.divergence locks-hard --seed 31
-    PYTHONPATH=src python -m repro.obs.divergence locks-hard \\
+    PYTHONPATH=src python -m repro.obs diverge locks-hard --seed 31
+    PYTHONPATH=src python -m repro.obs diverge locks-hard \\
         --seed 31 --seed2 32
-    PYTHONPATH=src python -m repro.obs.divergence --dumps a.jsonl b.jsonl
+    PYTHONPATH=src python -m repro.obs diverge a.jsonl b.jsonl
 
 The first form self-compares one seed (the determinism check, with
 localization when it fails); ``--seed2`` compares two different seeds
-— a guaranteed fork, which is how CI smoke-tests the localizer end to
-end.  ``--dumps`` compares two flight-bearing JSONL dumps offline.
+— a guaranteed fork, which is how the tests drive the localizer end to
+end.  Two dumps are compared offline from their flight records.
 
 Exit status: 0 when the runs agree, 1 when a divergence was localized,
 2 on usage errors or unusable dumps.
@@ -30,8 +30,6 @@ Exit status: 0 when the runs agree, 1 when a divergence was localized,
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -171,41 +169,35 @@ def localize(name: str, seed: int, seed2: Optional[int] = None,
 # -- dump-vs-dump mode -----------------------------------------------------
 
 
-def _load_flight(path: str, err) -> Optional[Tuple[List[str],
-                                                   List[Dict[str, Any]]]]:
-    """(epoch digests, flight records) from a JSONL dump, or ``None``."""
-    from repro.obs._cli import load_dump_records
-
-    records = load_dump_records(path, err)
-    if records is None:
-        return None
+def _flight(records: List[Dict[str, Any]]
+            ) -> Tuple[List[str], List[Dict[str, Any]]]:
+    """(epoch digests in index order, flight records) of a dump."""
     digests = {r["index"]: r["digest"] for r in records
                if r.get("kind") == "flight-epoch"
                and "index" in r and "digest" in r}
     flight = [r for r in records
               if r.get("kind") in ("dispatch", "rng", "hop", "drop",
                                    "lock", "spawn", "exit")]
-    if not digests:
-        err.write("error: {} carries no flight-epoch records\n"
-                  .format(path))
-        return None
-    ordered = [digests[index] for index in sorted(digests)]
-    return ordered, flight
+    return [digests[index] for index in sorted(digests)], flight
 
 
-def compare_dumps(path_a: str, path_b: str, context: int = 8,
-                  err=None) -> Optional[Dict[str, Any]]:
-    """Offline comparison of two flight-bearing dumps."""
-    err = err if err is not None else sys.stderr
-    loaded_a = _load_flight(path_a, err)
-    loaded_b = _load_flight(path_b, err)
-    if loaded_a is None or loaded_b is None:
-        return None
-    digests_a, records_a = loaded_a
-    digests_b, records_b = loaded_b
+def compare_dumps(dump_a: List[Dict[str, Any]],
+                  dump_b: List[Dict[str, Any]], context: int = 8,
+                  labels: Sequence[str] = ("A", "B")) -> Dict[str, Any]:
+    """Offline comparison of two flight-bearing dumps' records.
+
+    ``labels`` name the dumps in the report and in the ``ValueError``
+    raised when one of them carries no flight-epoch records.
+    """
+    digests_a, records_a = _flight(dump_a)
+    digests_b, records_b = _flight(dump_b)
+    for label, digests in zip(labels, (digests_a, digests_b)):
+        if not digests:
+            raise ValueError("{} carries no flight-epoch records"
+                             .format(label))
     epoch = first_divergent_epoch(digests_a, digests_b)
     report: Dict[str, Any] = {
-        "dumps": [path_a, path_b],
+        "dumps": list(labels),
         "epochs": [len(digests_a), len(digests_b)],
         "diverged": epoch is not None,
         "epoch": epoch,
@@ -287,63 +279,3 @@ def render(report: Dict[str, Any], out=None) -> None:
                       "mismatch:\n".format(label, len(preceding)))
             for record in preceding:
                 out.write("  {}| {}\n".format(label, canonical(record)))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.divergence",
-        description="Localize the first divergent epoch between two "
-                    "flight-journalled runs (or dumps).")
-    parser.add_argument("workload", nargs="?", default=None,
-                        help="registered workload name")
-    parser.add_argument("--seed", type=int, default=31,
-                        help="experiment seed (default 31)")
-    parser.add_argument("--seed2", type=int, default=None,
-                        help="second run's seed (default: same as "
-                             "--seed, a determinism self-compare)")
-    parser.add_argument("--epoch-events", type=int,
-                        default=DEFAULT_EPOCH_EVENTS, metavar="N",
-                        help="events per digest epoch (default {})"
-                        .format(DEFAULT_EPOCH_EVENTS))
-    parser.add_argument("--context", type=int, default=8, metavar="K",
-                        help="preceding records to show per run "
-                             "(default 8)")
-    parser.add_argument("--dumps", nargs=2, default=None,
-                        metavar=("A", "B"),
-                        help="compare two flight-bearing JSONL dumps "
-                             "instead of running a workload")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", dest="fmt",
-                        help="transcript (default) or one JSON document")
-    options = parser.parse_args(argv)
-
-    if (options.workload is None) == (options.dumps is None):
-        parser.error("exactly one of WORKLOAD or --dumps is required")
-    if options.epoch_events <= 0:
-        parser.error("--epoch-events must be positive")
-    if options.context <= 0:
-        parser.error("--context must be positive")
-
-    if options.dumps is not None:
-        report = compare_dumps(options.dumps[0], options.dumps[1],
-                               context=options.context)
-        if report is None:
-            return 2
-    else:
-        try:
-            report = localize(options.workload, options.seed,
-                              options.seed2,
-                              epoch_events=options.epoch_events,
-                              context=options.context)
-        except KeyError as error:
-            sys.stderr.write("error: {}\n".format(error.args[0]))
-            return 2
-    if options.fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        render(report)
-    return 1 if report["diverged"] else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

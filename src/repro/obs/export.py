@@ -1,7 +1,7 @@
 """Exporters: JSONL span/metric dumps and Chrome ``trace_event`` JSON.
 
-The JSONL form is the machine-readable record the report CLI consumes —
-one JSON object per line, ``{"kind": "span", ...}`` or
+The JSONL form is the machine-readable record ``python -m repro.obs``
+consumes — one JSON object per line, ``{"kind": "span", ...}`` or
 ``{"kind": "metric", ...}``.  The Chrome form opens directly in
 ``about:tracing`` / Perfetto: spans become complete (``"ph": "X"``)
 events, grouped into one pseudo-thread per node, with simulated seconds
@@ -57,8 +57,8 @@ def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
     (or any iterable of window dicts) whose ``{"kind": "window"}``
     records are appended; ``flight`` a
     :class:`~repro.obs.flight.FlightRecorder` whose epoch digests and
-    retained ring follow — so one dump feeds the report, profile,
-    dashboard and divergence CLIs alike.  ``meta`` (a plain dict of
+    retained ring follow — so one dump feeds every ``python -m
+    repro.obs`` subcommand alike.  ``meta`` (a plain dict of
     provenance fields, see :func:`meta_record`) becomes the dump's
     first line; dumps without one remain valid for every loader.
     """
@@ -90,22 +90,11 @@ def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
     return lines
 
 
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL dump back into a list of records."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def load_jsonl_tolerant(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Parse a JSONL dump, skipping malformed lines.
 
     Dumps from killed runs (or ``tail``-ed fragments of huge dumps) end
-    mid-line; the report and profile CLIs should still read the rest.
+    mid-line; ``python -m repro.obs`` still reads the rest.
     Returns ``(records, skipped)`` where ``skipped`` counts lines that
     failed to parse or were not JSON objects.
     """
@@ -126,6 +115,19 @@ def load_jsonl_tolerant(path: str) -> Tuple[List[Dict[str, Any]], int]:
             else:
                 skipped += 1
     return records, skipped
+
+
+def load_jsonl(path: str) -> List[Dict[str, Any]]:
+    """Parse a JSONL dump back into a list of records, strictly.
+
+    The same parse as :func:`load_jsonl_tolerant`, but a malformed line
+    raises ``ValueError`` instead of being skipped.
+    """
+    records, skipped = load_jsonl_tolerant(path)
+    if skipped:
+        raise ValueError("{}: {} malformed JSONL line(s)".format(
+            path, skipped))
+    return records
 
 
 def chrome_trace(tracer: Optional[Tracer] = None) -> Dict[str, Any]:

@@ -1,45 +1,26 @@
-"""Report CLI: latency and traffic tables from a JSONL observability dump.
+"""Report: latency and traffic tables from observability records.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.report run.jsonl
-    PYTHONPATH=src python -m repro.obs.report run.jsonl --format json
+    PYTHONPATH=src python -m repro.obs report run.jsonl
+    PYTHONPATH=src python -m repro.obs report run.jsonl --format json
 
 Reads the spans and metrics written by
-:func:`repro.obs.export.dump_jsonl` and prints per-operation,
-per-node and per-object latency tables plus a traffic/drop summary —
-the "pattern of use" view §4.2.1 of the paper asks management
-functions to maintain.  ``--format json`` emits the same tables as one
-machine-readable document (sorted keys, stable across runs) for
-scripts and CI assertions; the exit status is non-zero when the dump
-is unreadable or contains no parseable records.
+:func:`repro.obs.export.dump_jsonl` (or recorded from a workload run)
+and prints per-operation, per-node and per-object latency tables plus
+a traffic/drop summary — the "pattern of use" view §4.2.1 of the paper
+asks management functions to maintain.  ``--format json`` emits the
+same tables as one machine-readable document (sorted keys, stable
+across runs) for scripts and CI assertions.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List
 
-from repro.obs._cli import (
-    describe_meta,
-    extract_meta,
-    fmt_cell,
-    load_dump_records,
-    render_table,
-)
+from repro.obs._cli import describe_meta, extract_meta, render_table
 from repro.sim.monitor import Tally
-
-
-def _table(title: str, headers: Sequence[str],
-           rows: Iterable[Sequence[Any]], out=None,
-           top: int = None) -> None:
-    render_table(title, headers, rows, out=out, top=top)
-
-
-def _fmt(cell: Any) -> str:
-    return fmt_cell(cell)
 
 
 def _durations(spans: Iterable[Dict[str, Any]], group_attr: str = None,
@@ -141,68 +122,41 @@ def render_report(records: List[Dict[str, Any]], out=None,
     out.write("{} spans in {} traces, {} metric records\n".format(
         data["spans"], data["traces"], data["metric_records"]))
 
-    _table("spans by operation",
-           ["operation", "count", "mean (s)", "p95 (s)", "max (s)"],
-           [(name, row["count"], row["mean"], row["p95"], row["maximum"])
-            for name, row in data["by_operation"].items()], out, top=top)
+    render_table("spans by operation",
+                 ["operation", "count", "mean (s)", "p95 (s)", "max (s)"],
+                 [(name, row["count"], row["mean"], row["p95"],
+                   row["maximum"])
+                  for name, row in data["by_operation"].items()],
+                 out=out, top=top)
 
     if data["invocation_by_node"]:
-        _table("invocation latency by node",
-               ["node", "count", "mean (s)", "p95 (s)"],
-               [(node, row["count"], row["mean"], row["p95"])
-                for node, row in data["invocation_by_node"].items()],
-               out, top=top)
+        render_table("invocation latency by node",
+                     ["node", "count", "mean (s)", "p95 (s)"],
+                     [(node, row["count"], row["mean"], row["p95"])
+                      for node, row in data["invocation_by_node"].items()],
+                     out=out, top=top)
     if data["invocation_by_object"]:
-        _table("invocation latency by object",
-               ["object", "count", "mean (s)", "p95 (s)"],
-               [(oid, row["count"], row["mean"], row["p95"])
-                for oid, row in data["invocation_by_object"].items()],
-               out, top=top)
+        render_table("invocation latency by object",
+                     ["object", "count", "mean (s)", "p95 (s)"],
+                     [(oid, row["count"], row["mean"], row["p95"])
+                      for oid, row
+                      in data["invocation_by_object"].items()],
+                     out=out, top=top)
 
     if data["traffic_by_source"]:
-        _table("traffic by source node",
-               ["node", "packets", "bytes", "dropped"],
-               [(src, row["packets"], row["bytes"], row["dropped"])
-                for src, row in data["traffic_by_source"].items()],
-               out, top=top)
+        render_table("traffic by source node",
+                     ["node", "packets", "bytes", "dropped"],
+                     [(src, row["packets"], row["bytes"], row["dropped"])
+                      for src, row in data["traffic_by_source"].items()],
+                     out=out, top=top)
 
     if data["counters"]:
-        _table("counters", ["name", "labels", "value"],
-               [(m["name"], _labels_cell(m["labels"]), m["value"])
-                for m in data["counters"]], out, top=top)
+        render_table("counters", ["name", "labels", "value"],
+                     [(m["name"], _labels_cell(m["labels"]), m["value"])
+                      for m in data["counters"]], out=out, top=top)
     if data["histograms"]:
-        _table("histograms",
-               ["name", "labels", "count", "mean", "p95"],
-               [(m["name"], _labels_cell(m["labels"]), m["count"],
-                 m["mean"], m["p95"]) for m in data["histograms"]],
-               out, top=top)
-
-
-def main(argv: Sequence[str] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Summarise a repro observability JSONL dump.")
-    parser.add_argument("dump", help="path to a dump_jsonl() file")
-    parser.add_argument("--top", type=int, default=None, metavar="N",
-                        help="show at most N rows per table")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", dest="fmt",
-                        help="text tables (default) or one JSON document")
-    options = parser.parse_args(argv)
-    records = load_dump_records(options.dump)
-    if records is None:
-        return 2
-    try:
-        if options.fmt == "json":
-            print(json.dumps(report_data(records), sort_keys=True,
-                             indent=2))
-        else:
-            render_report(records, top=options.top)
-    except BrokenPipeError:
-        # Reader (e.g. ``| head``) closed the pipe early; not an error.
-        sys.stderr.close()
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        render_table("histograms",
+                     ["name", "labels", "count", "mean", "p95"],
+                     [(m["name"], _labels_cell(m["labels"]), m["count"],
+                       m["mean"], m["p95"]) for m in data["histograms"]],
+                     out=out, top=top)

@@ -126,7 +126,7 @@ class QoSMonitor:
         """Publish the window into the metrics registry.
 
         Violations and healthy windows land as counters next to the
-        lock/conflict counters, so ``repro.obs.report`` shows QoS
+        lock/conflict counters, so ``python -m repro.obs report`` shows QoS
         degradation alongside concurrency behaviour.  Latency/jitter
         are only recorded for windows that saw frames (an empty window
         reports infinite latency, which would poison the histogram).

@@ -1,21 +1,22 @@
-"""The dashboard CLI: workload mode, dump mode, formats, exit codes."""
+"""``python -m repro.obs dashboard``: workload and dump sources, formats,
+exit codes."""
 
 import json
 
 import pytest
 
-from repro.obs.dashboard import main
+from repro.obs.__main__ import main
 
 
 def run_main(capsys, argv):
-    code = main(argv)
+    code = main(["dashboard"] + argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def test_workload_mode_renders_tables_and_critical_path(capsys):
     code, out, _ = run_main(capsys, [
-        "--workload", "timeline-demo", "--seed", "31",
+        "timeline-demo", "--seed", "31",
         "--tables", "node,link", "--critical-path"])
     assert code == 0
     assert "hot spots by node" in out
@@ -29,7 +30,7 @@ def test_workload_mode_renders_tables_and_critical_path(capsys):
 
 
 def test_same_seed_runs_are_byte_identical(capsys):
-    argv = ["--workload", "timeline-demo", "--seed", "31",
+    argv = ["timeline-demo", "--seed", "31",
             "--tables", "node,op", "--critical-path", "--timeline"]
     _, first, _ = run_main(capsys, argv)
     _, second, _ = run_main(capsys, argv)
@@ -71,7 +72,7 @@ def test_dump_mode_reads_mixed_jsonl(tmp_path, capsys):
 
 def test_format_json_is_parseable_and_sorted(capsys):
     code, out, _ = run_main(capsys, [
-        "--workload", "timeline-demo", "--tables", "node",
+        "timeline-demo", "--tables", "node",
         "--critical-path", "--format", "json"])
     assert code == 0
     data = json.loads(out)
@@ -83,13 +84,13 @@ def test_format_json_is_parseable_and_sorted(capsys):
 
 def test_unknown_dimension_exits_2(capsys):
     code, _, err = run_main(capsys, [
-        "--workload", "timeline-demo", "--tables", "node,galaxy"])
+        "timeline-demo", "--tables", "node,galaxy"])
     assert code == 2
     assert "unknown table dimension" in err
 
 
 def test_unknown_workload_exits_2(capsys):
-    code, _, err = run_main(capsys, ["--workload", "no-such-workload"])
+    code, _, err = run_main(capsys, ["no-such-workload"])
     assert code == 2
     assert "unknown workload" in err
 
@@ -103,13 +104,13 @@ def test_unreadable_dump_exits_2(tmp_path, capsys):
 
 def test_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit):
-        main([])
+        main(["dashboard"])
     with pytest.raises(SystemExit):
-        main(["dump.jsonl", "--workload", "timeline-demo"])
+        main(["dashboard", "dump.jsonl", "--workload", "timeline-demo"])
 
 
 def test_top_clips_tables(capsys):
     code, out, _ = run_main(capsys, [
-        "--workload", "timeline-demo", "--tables", "op", "--top", "2"])
+        "timeline-demo", "--tables", "op", "--top", "2"])
     assert code == 0
     assert "more row(s); raise --top" in out

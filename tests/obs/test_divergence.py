@@ -3,15 +3,18 @@
 import io
 import json
 
+import pytest
+
+from repro.obs.__main__ import main
 from repro.obs.divergence import (
     _first_mismatch,
     compare_digests,
     compare_dumps,
     first_divergent_epoch,
     localize,
-    main,
     render,
 )
+from repro.obs.export import load_jsonl
 from repro.obs.flight import FlightRecorder, use_flight
 
 
@@ -119,7 +122,8 @@ def test_compare_dumps_localizes_offline(tmp_path):
     path_b = str(tmp_path / "b.jsonl")
     _dump(path_a, run_a)
     _dump(path_b, run_b)
-    report = compare_dumps(path_a, path_b, context=3)
+    report = compare_dumps(load_jsonl(path_a), load_jsonl(path_b),
+                           context=3)
     assert report["diverged"] is True
     assert report["epoch"] == 3
     assert report["record_index"] == 2
@@ -131,7 +135,7 @@ def test_compare_dumps_identical(tmp_path):
     run_a, _ = _fork_pair()
     path = str(tmp_path / "same.jsonl")
     _dump(path, run_a)
-    report = compare_dumps(path, path)
+    report = compare_dumps(load_jsonl(path), load_jsonl(path))
     assert report["diverged"] is False
 
 
@@ -139,22 +143,21 @@ def test_compare_dumps_rejects_flightless_dump(tmp_path):
     path = str(tmp_path / "plain.jsonl")
     with open(path, "w") as handle:
         handle.write(json.dumps({"kind": "span", "name": "x"}) + "\n")
-    err = io.StringIO()
-    assert compare_dumps(path, path, err=err) is None
-    assert "no flight-epoch records" in err.getvalue()
+    with pytest.raises(ValueError, match="no flight-epoch records"):
+        compare_dumps(load_jsonl(path), load_jsonl(path))
 
 
 # -- CLI contract ----------------------------------------------------------
 
 
 def test_cli_same_seed_exits_zero(capsys):
-    assert main(["locks-hard", "--seed", "31",
+    assert main(["diverge", "locks-hard", "--seed", "31",
                  "--epoch-events", "64"]) == 0
     assert "no divergence" in capsys.readouterr().out
 
 
 def test_cli_seed_fork_exits_one(capsys):
-    assert main(["locks-hard", "--seed", "31", "--seed2", "32",
+    assert main(["diverge", "locks-hard", "--seed", "31", "--seed2", "32",
                  "--epoch-events", "64"]) == 1
     out = capsys.readouterr().out
     assert "first divergent epoch" in out
@@ -162,7 +165,7 @@ def test_cli_seed_fork_exits_one(capsys):
 
 
 def test_cli_json_format(capsys):
-    assert main(["locks-hard", "--seed", "31", "--seed2", "32",
+    assert main(["diverge", "locks-hard", "--seed", "31", "--seed2", "32",
                  "--epoch-events", "64", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["diverged"] is True
@@ -170,7 +173,7 @@ def test_cli_json_format(capsys):
 
 
 def test_cli_unknown_workload_exits_two(capsys):
-    assert main(["no-such-workload"]) == 2
+    assert main(["diverge", "no-such-workload"]) == 2
     assert "no-such-workload" in capsys.readouterr().err
 
 
@@ -180,5 +183,5 @@ def test_cli_dumps_mode(tmp_path, capsys):
     path_b = str(tmp_path / "b.jsonl")
     _dump(path_a, run_a)
     _dump(path_b, run_b)
-    assert main(["--dumps", path_a, path_b]) == 1
-    assert main(["--dumps", path_a, path_a]) == 0
+    assert main(["diverge", path_a, path_b]) == 1
+    assert main(["diverge", path_a, path_a]) == 0

@@ -1,4 +1,4 @@
-"""JSONL export, loading and the report CLI."""
+"""JSONL export, loading and ``python -m repro.obs report``."""
 
 import io
 import json
@@ -8,7 +8,8 @@ import pytest
 from repro import obs
 from repro.net import Network, lan
 from repro.node import ODPRuntime
-from repro.obs.report import main, render_report
+from repro.obs.__main__ import main
+from repro.obs.report import render_report
 from repro.sim import Environment
 
 
@@ -77,7 +78,7 @@ def test_render_report_tables(traced_run):
 
 def test_report_cli_main(traced_run, capsys):
     path, _ = traced_run
-    assert main([path]) == 0
+    assert main(["report", path]) == 0
     captured = capsys.readouterr()
     assert "spans by operation" in captured.out
 
@@ -93,7 +94,7 @@ def test_default_noop_dump_has_no_spans(tmp_path):
 
 def test_report_cli_top_clips_tables(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--top", "2"]) == 0
+    assert main(["report", path, "--top", "2"]) == 0
     out = capsys.readouterr().out
     assert "more row(s); raise --top" in out
 
@@ -120,7 +121,7 @@ def test_report_cli_tolerates_truncated_dump(traced_run, capsys):
         content = handle.read()
     with open(path, "w") as handle:
         handle.write(content[: int(len(content) * 0.8)])
-    assert main([path]) == 0
+    assert main(["report", path]) == 0
     captured = capsys.readouterr()
     assert "skipped" in captured.err
     assert "spans by operation" in captured.out
@@ -130,13 +131,13 @@ def test_report_cli_rejects_dump_with_no_records(tmp_path, capsys):
     path = str(tmp_path / "garbage.jsonl")
     with open(path, "w") as handle:
         handle.write("not json at all\n{{{\n")
-    assert main([path]) == 2
+    assert main(["report", path]) == 2
     assert "no parseable records" in capsys.readouterr().err
 
 
 def test_report_cli_format_json(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--format", "json"]) == 0
+    assert main(["report", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["spans"] > 0
     assert "node.invoke" in data["by_operation"]
@@ -146,9 +147,9 @@ def test_report_cli_format_json(traced_run, capsys):
 
 def test_report_json_matches_text_counts(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--format", "json"]) == 0
+    assert main(["report", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert main([path]) == 0
+    assert main(["report", path]) == 0
     text = capsys.readouterr().out
     assert text.startswith("{} spans in {} traces, {} metric records".format(
         data["spans"], data["traces"], data["metric_records"]))
@@ -156,14 +157,14 @@ def test_report_json_matches_text_counts(traced_run, capsys):
 
 def test_report_json_is_byte_stable(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--format", "json"]) == 0
+    assert main(["report", path, "--format", "json"]) == 0
     first = capsys.readouterr().out
-    assert main([path, "--format", "json"]) == 0
+    assert main(["report", path, "--format", "json"]) == 0
     assert capsys.readouterr().out == first
 
 
 def test_report_cli_unreadable_file_exits_2(tmp_path, capsys):
-    assert main([str(tmp_path / "missing.jsonl")]) == 2
+    assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
 
@@ -187,10 +188,10 @@ def test_report_surfaces_meta_line(tmp_path, capsys):
         metrics.counter("ticks").add()
         obs.dump_jsonl(path, metrics=metrics,
                        meta={"workload": "demo", "seed": 7})
-    assert main([path]) == 0
+    assert main(["report", path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("meta: workload=demo seed=7 schema=repro-obs/1")
-    assert main([path, "--format", "json"]) == 0
+    assert main(["report", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["meta"]["workload"] == "demo"
 
@@ -199,11 +200,11 @@ def test_metaless_dump_still_loads_and_reports(traced_run, capsys):
     # Dumps written before the meta record existed: no meta line, no
     # meta key surprises, everything else identical.
     path, _ = traced_run
-    assert main([path]) == 0
+    assert main(["report", path]) == 0
     out = capsys.readouterr().out
     assert not out.startswith("meta:")
     assert "spans by operation" in out
-    assert main([path, "--format", "json"]) == 0
+    assert main(["report", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["meta"] is None
 
 

@@ -1,11 +1,13 @@
-"""Sim-time profiler: aggregation, folded stacks, and the CLI."""
+"""Sim-time profiler: aggregation, folded stacks, and the ``profile`` and
+``diff`` subcommands."""
 
 import io
 
 import pytest
 
 from repro import obs
-from repro.obs.profile import SpanProfile, main, render_profile
+from repro.obs.__main__ import main
+from repro.obs.profile import SpanProfile, render_profile
 from repro.sim import Environment
 
 
@@ -142,7 +144,7 @@ class TestCLI:
 
     def test_cli_runs_workload_and_writes_folded(self, tmp_path, capsys):
         folded = str(tmp_path / "run.folded")
-        assert main(["traced-rpc", "--seed", "31", "--top", "5",
+        assert main(["profile", "traced-rpc", "--seed", "31", "--top", "5",
                      "--folded", folded]) == 0
         out = capsys.readouterr().out
         assert "simulated time by operation" in out
@@ -164,18 +166,18 @@ class TestCLI:
             path = str(tmp_path / "run.jsonl")
             with obs.use_metrics(obs.MetricsRegistry()):
                 obs.dump_jsonl(path, tracer=tracer)
-        assert main([path, "--from-dump"]) == 0
+        assert main(["profile", path]) == 0
         assert "actor.run" in capsys.readouterr().out
 
     def test_cli_rejects_unknown_workload(self, capsys):
-        assert main(["no-such-workload"]) == 2
+        assert main(["profile", "no-such-workload"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
     def test_cli_list(self, capsys):
-        assert main(["ignored", "--list"]) == 0 or True
-        # --list exits before using the positional argument.
-        out = capsys.readouterr().out
-        assert "traced-rpc" in out and "slo-burn" in out
+        # An unknown SOURCE is the way to list the workloads.
+        assert main(["profile", "no-such-workload"]) == 2
+        err = capsys.readouterr().err
+        assert "traced-rpc" in err and "slo-burn" in err
 
     def test_render_profile_top_clips_rows(self, known_tree):
         out = io.StringIO()
@@ -229,24 +231,26 @@ class TestFoldedDiff:
     def test_cli_diff(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.folded", ["root;leaf 10"])
         new = self._write(tmp_path, "new.folded", ["root;leaf 10"])
-        assert main(["--diff", old, new]) == 0
+        assert main(["diff", old, new]) == 0
         captured = capsys.readouterr()
         assert "no simulated-time drift" in captured.out
 
     def test_cli_diff_missing_file(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.folded", ["root 1"])
-        assert main(["--diff", old, str(tmp_path / "absent.folded")]) == 2
+        assert main(["diff", old, str(tmp_path / "absent.folded")]) == 2
 
     def test_cli_requires_workload_or_diff(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+        with pytest.raises(SystemExit):
+            main(["profile"])
 
     def test_cli_same_seed_runs_prove_zero_drift(self, tmp_path, capsys):
         """The determinism recipe: profile one workload twice at the
-        same seed, --diff the folded dumps, read zero drift."""
+        same seed, diff the folded dumps, read zero drift."""
         old = str(tmp_path / "first.folded")
         new = str(tmp_path / "second.folded")
-        assert main(["traced-rpc", "--folded", old]) == 0
-        assert main(["traced-rpc", "--folded", new]) == 0
-        assert main(["--diff", old, new]) == 0
+        assert main(["profile", "traced-rpc", "--folded", old]) == 0
+        assert main(["profile", "traced-rpc", "--folded", new]) == 0
+        assert main(["diff", old, new]) == 0
         assert "no simulated-time drift" in capsys.readouterr().out
